@@ -8,13 +8,16 @@ import sys as _sys
 # is too tight for generated programs of a few dozen nodes.
 _sys.setrecursionlimit(max(_sys.getrecursionlimit(), 20_000))
 
+from .term import (
+    EvalOutcome, Outcome, Term, all_names, alpha_eq, children, free_vars,
+    from_sexpr, node, program_body, subst, to_sexpr,
+)
 from .source_lang import (
     NAT, UNIT, TArrow, TNat, TProd, TUnit, SrcType,
     App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, SrcTerm, UnitLit,
-    Var, EvalOutcome, Outcome, alpha_eq, eval_src, free_vars, is_value,
-    step_src, subst_apply, to_debruijn, typecheck_src,
+    Var, eval_src, is_value, step_src, subst_apply, typecheck_src,
 )
-from .cps import Kont, cps_program, cps_transform, cps_type, identity_kont
+from .cps import cps_program, cps_transform, cps_type
 from .cc_lang import (
     CCTerm, CCType, HoistedProgram, eval_cc, eval_hoisted, step_cc,
     typecheck_cc, typecheck_hoisted,

@@ -19,8 +19,10 @@ from .errors import (
     UnboundVariable,
     UnresolvedTypeVariable,
 )
-from .fresh import fresh_name
-from .source_lang import EvalOutcome, Outcome
+from .source_lang import ctx_lookup
+from .term import (
+    EvalOutcome, Term, eval_lets, free_vars, node, program_body, subst,
+)
 from .unify import TypeExpr, Unifier, UnifyError, has_tvar
 
 
@@ -87,79 +89,82 @@ CC_UNIT = CCUnit()
 # Terms
 
 
-class CCTerm:
+class CCTerm(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node("(nat #n)")
 class CNat(CCTerm):
     n: int
 
 
-@dataclass(frozen=True)
+@node("(var name)", var=True)
 class CVar(CCTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@node("(pred arg)")
 class CPred(CCTerm):
     arg: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(plus l r)")
 class CPlus(CCTerm):
     l: CCTerm
     r: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(ifz cond zbranch nzbranch)")
 class CIfz(CCTerm):
     cond: CCTerm
     zbranch: CCTerm
     nzbranch: CCTerm
 
 
-@dataclass(frozen=True)
+@node("unit")
 class CUnit(CCTerm):
     pass
 
 
-@dataclass(frozen=True)
+@node("(pair l r)")
 class CPair(CCTerm):
     l: CCTerm
     r: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(fst arg)")
 class CFst(CCTerm):
     arg: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(snd arg)")
 class CSnd(CCTerm):
     arg: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(let bound (binder body))", binds={"body": ("binder",)})
 class CLet(CCTerm):
     bound: CCTerm
     binder: str
     body: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(cabs (binder) body)", binds={"body": ("binder",)})
 class CAbs(CCTerm):
     binder: str
     body: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(clos code env)")
 class CClos(CCTerm):
     code: CCTerm
     env: CCTerm
 
 
-@dataclass(frozen=True)
+@node(
+    "(open scrutinee (fbinder ebinder) body)",
+    binds={"body": ("fbinder", "ebinder")},
+)
 class COpen(CCTerm):
     scrutinee: CCTerm
     fbinder: str
@@ -167,7 +172,7 @@ class COpen(CCTerm):
     body: CCTerm
 
 
-@dataclass(frozen=True)
+@node("(app fn arg)")
 class CApp(CCTerm):
     fn: CCTerm
     arg: CCTerm
@@ -185,6 +190,22 @@ class HoistedProgram:
     body: CCTerm
 
 
+def closure_call_arg(t: COpen):
+    """M2 when t is the closure call open M as f,e in f (M, (M2, e)), the
+    only shape of open that hoisting and code generation accept; else None."""
+    body = t.body
+    if (
+        isinstance(body, CApp)
+        and body.fn == CVar(t.fbinder)
+        and isinstance(body.arg, CPair)
+        and body.arg.l == t.scrutinee
+        and isinstance(body.arg.r, CPair)
+        and body.arg.r.r == CVar(t.ebinder)
+    ):
+        return body.arg.r.l
+    return None
+
+
 def cc_is_value(t: CCTerm) -> bool:
     if isinstance(t, (CNat, CUnit, CAbs)):
         return True
@@ -195,158 +216,6 @@ def cc_is_value(t: CCTerm) -> bool:
     return False
 
 
-def cc_free_vars(t: CCTerm) -> frozenset:
-    # Cached on the (immutable) node: substitution shares untouched subtrees,
-    # so the cache makes repeated stepping roughly linear in the redex path.
-    fv = getattr(t, "_fv", None)
-    if fv is not None:
-        return fv
-    if isinstance(t, CVar):
-        fv = frozenset((t.name,))
-    elif isinstance(t, (CNat, CUnit)):
-        fv = frozenset()
-    elif isinstance(t, (CPred, CFst, CSnd)):
-        fv = cc_free_vars(t.arg)
-    elif isinstance(t, (CPlus, CPair)):
-        fv = cc_free_vars(t.l) | cc_free_vars(t.r)
-    elif isinstance(t, CIfz):
-        fv = (
-            cc_free_vars(t.cond) | cc_free_vars(t.zbranch) | cc_free_vars(t.nzbranch)
-        )
-    elif isinstance(t, CLet):
-        fv = cc_free_vars(t.bound) | (cc_free_vars(t.body) - {t.binder})
-    elif isinstance(t, CAbs):
-        fv = cc_free_vars(t.body) - {t.binder}
-    elif isinstance(t, CClos):
-        fv = cc_free_vars(t.code) | cc_free_vars(t.env)
-    elif isinstance(t, COpen):
-        fv = cc_free_vars(t.scrutinee) | (
-            cc_free_vars(t.body) - {t.fbinder, t.ebinder}
-        )
-    elif isinstance(t, CApp):
-        fv = cc_free_vars(t.fn) | cc_free_vars(t.arg)
-    else:
-        raise TypeError(t)
-    object.__setattr__(t, "_fv", fv)
-    return fv
-
-
-def cc_all_names(t: CCTerm) -> set:
-    out = set()
-
-    def walk(t):
-        if isinstance(t, CVar):
-            out.add(t.name)
-        elif isinstance(t, (CPred, CFst, CSnd)):
-            walk(t.arg)
-        elif isinstance(t, (CPlus, CPair)):
-            walk(t.l)
-            walk(t.r)
-        elif isinstance(t, CIfz):
-            walk(t.cond)
-            walk(t.zbranch)
-            walk(t.nzbranch)
-        elif isinstance(t, CLet):
-            out.add(t.binder)
-            walk(t.bound)
-            walk(t.body)
-        elif isinstance(t, CAbs):
-            out.add(t.binder)
-            walk(t.body)
-        elif isinstance(t, CClos):
-            walk(t.code)
-            walk(t.env)
-        elif isinstance(t, COpen):
-            out.add(t.fbinder)
-            out.add(t.ebinder)
-            walk(t.scrutinee)
-            walk(t.body)
-        elif isinstance(t, CApp):
-            walk(t.fn)
-            walk(t.arg)
-
-    walk(t)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-
-def cc_subst(s, t: CCTerm) -> CCTerm:
-    s = dict(s)
-    if not s:
-        return t
-    fvs = {x: cc_free_vars(v) for x, v in s.items()}
-    return _subst(s, fvs, t)
-
-
-def _subst(s, fvs, t):
-    if cc_free_vars(t).isdisjoint(s):
-        return t
-    if isinstance(t, CVar):
-        return s.get(t.name, t)
-    if isinstance(t, (CNat, CUnit)):
-        return t
-    if isinstance(t, CPred):
-        return CPred(_subst(s, fvs, t.arg))
-    if isinstance(t, CFst):
-        return CFst(_subst(s, fvs, t.arg))
-    if isinstance(t, CSnd):
-        return CSnd(_subst(s, fvs, t.arg))
-    if isinstance(t, CPlus):
-        return CPlus(_subst(s, fvs, t.l), _subst(s, fvs, t.r))
-    if isinstance(t, CPair):
-        return CPair(_subst(s, fvs, t.l), _subst(s, fvs, t.r))
-    if isinstance(t, CIfz):
-        return CIfz(
-            _subst(s, fvs, t.cond),
-            _subst(s, fvs, t.zbranch),
-            _subst(s, fvs, t.nzbranch),
-        )
-    if isinstance(t, CClos):
-        return CClos(_subst(s, fvs, t.code), _subst(s, fvs, t.env))
-    if isinstance(t, CApp):
-        return CApp(_subst(s, fvs, t.fn), _subst(s, fvs, t.arg))
-    if isinstance(t, CLet):
-        bound = _subst(s, fvs, t.bound)
-        (b,), body = _under(s, fvs, (t.binder,), t.body)
-        return CLet(bound, b, body)
-    if isinstance(t, CAbs):
-        (b,), body = _under(s, fvs, (t.binder,), t.body)
-        return CAbs(b, body)
-    if isinstance(t, COpen):
-        scrut = _subst(s, fvs, t.scrutinee)
-        (f, e), body = _under(s, fvs, (t.fbinder, t.ebinder), t.body)
-        return COpen(scrut, f, e, body)
-    raise TypeError(t)
-
-
-def _under(s, fvs, binders, body):
-    s2 = {x: v for x, v in s.items() if x not in binders}
-    if not s2:
-        return binders, body
-    relevant = set()
-    for x in s2:
-        relevant |= fvs[x]
-    if relevant.isdisjoint(binders):
-        return binders, _subst(s2, fvs, body)
-    avoid = relevant | cc_free_vars(body) | set(s2) | set(binders)
-    renames = {}
-    new_binders = []
-    for b in binders:
-        if b in relevant:
-            nb = fresh_name(b, avoid)
-            avoid.add(nb)
-            renames[b] = CVar(nb)
-            new_binders.append(nb)
-        else:
-            new_binders.append(b)
-    if renames:
-        body = cc_subst(renames, body)
-    return tuple(new_binders), _subst(s2, fvs, body)
-
-
 # ---------------------------------------------------------------------------
 # Typing
 
@@ -354,15 +223,13 @@ def _under(s, fvs, binders, body):
 _rigid_tags = itertools.count(1)
 
 
-def typecheck_cc(ctx, t: CCTerm, mode: str = "skolem") -> CCType:
-    """Infer the type of t; mode selects how open is typed.
+def typecheck_cc(ctx, t: CCTerm) -> CCType:
+    """Infer the type of t.
 
-    "skolem" follows the closure-elimination rule with a fresh rigid
-    environment type per open; "pattern" types only the closure-application
-    shape open f,e = M1 in f (M1', M2, e) and gives it the closure arrow's
-    codomain directly.
+    Open follows the closure-elimination rule with a fresh rigid
+    environment type per open.
     """
-    inf = _Inference(mode)
+    inf = _Inference()
     ty = inf.infer(list(ctx), t)
     return inf.finish(ty)
 
@@ -379,13 +246,6 @@ def _mentions_rigid(ty, tags):
     )
 
 
-def _ctx_lookup(ctx, name):
-    for x, ty in reversed(ctx):
-        if x == name:
-            return ty
-    raise UnboundVariable(name)
-
-
 class _Inference:
     """Shared unification state for one typing run.
 
@@ -394,9 +254,8 @@ class _Inference:
     programs (whose closures hold stub applications of those binders).
     """
 
-    def __init__(self, mode="skolem", code_ctx=()):
+    def __init__(self, code_ctx=()):
         self.u = Unifier()
-        self.mode = mode
         self.rigids = []
         self.code_ctx = list(code_ctx)
 
@@ -423,7 +282,7 @@ class _Inference:
         if isinstance(t, CUnit):
             return CC_UNIT
         if isinstance(t, CVar):
-            return _ctx_lookup(ctx, t.name)
+            return ctx_lookup(ctx, t.name)
         if isinstance(t, CPred):
             self.check(ctx, t.arg, CC_NAT)
             return CC_NAT
@@ -476,7 +335,7 @@ class _Inference:
             return res
         if isinstance(t, CClos):
             allowed = {x for x, _ in self.code_ctx}
-            fv = cc_free_vars(t.code) - allowed
+            fv = free_vars(t.code) - allowed
             if fv:
                 raise NonEmptyClosureContext(fv)
             tcode = self.infer(list(self.code_ctx), t.code)
@@ -491,20 +350,6 @@ class _Inference:
         if isinstance(t, COpen):
             t1, t2 = u.fresh(), u.fresh()
             self.check(ctx, t.scrutinee, ClosArrow(t1, t2))
-            if self.mode == "pattern":
-                body = t.body
-                ok = (
-                    isinstance(body, CApp)
-                    and body.fn == CVar(t.fbinder)
-                    and isinstance(body.arg, CPair)
-                    and isinstance(body.arg.r, CPair)
-                    and body.arg.r.r == CVar(t.ebinder)
-                )
-                if not ok:
-                    raise TypeMismatch(t, "closure-application pattern", body)
-                self.check(ctx, body.arg.l, ClosArrow(t1, t2))
-                self.check(ctx, body.arg.r.l, t1)
-                return t2
             tag = next(_rigid_tags)
             self.rigids.append(tag)
             env_ty = Rigid(tag)
@@ -566,7 +411,7 @@ def step_cc(t: CCTerm):
         return None if a is None else CSnd(a)
     if isinstance(t, CLet):
         if cc_is_value(t.bound):
-            return cc_subst({t.binder: t.bound}, t.body)
+            return subst({t.binder: t.bound}, t.body)
         b = step_cc(t.bound)
         return None if b is None else CLet(b, t.binder, t.body)
     if isinstance(t, CClos):
@@ -577,7 +422,7 @@ def step_cc(t: CCTerm):
         return None if c is None else CClos(c, t.env)
     if isinstance(t, COpen):
         if isinstance(t.scrutinee, CClos) and cc_is_value(t.scrutinee):
-            return cc_subst(
+            return subst(
                 {t.fbinder: t.scrutinee.code, t.ebinder: t.scrutinee.env}, t.body
             )
         if cc_is_value(t.scrutinee):
@@ -587,7 +432,7 @@ def step_cc(t: CCTerm):
     if isinstance(t, CApp):
         if isinstance(t.fn, CAbs):
             if cc_is_value(t.arg):
-                return cc_subst({t.fn.binder: t.arg}, t.fn.body)
+                return subst({t.fn.binder: t.arg}, t.fn.body)
             a = step_cc(t.arg)
             return None if a is None else CApp(t.fn, a)
         if cc_is_value(t.fn):
@@ -598,58 +443,25 @@ def step_cc(t: CCTerm):
 
 
 def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
-    """Iterate the step relation to a value, stuck term, or fuel exhaustion.
-
-    Maintains the enclosing let-frames on an explicit stack so that each step
-    costs time near the redex rather than a walk from the root; the step
-    counts agree exactly with iterating step_cc.
-    """
-    steps = 0
-    stack = []
-
-    def plug(u):
-        for binder, body in reversed(stack):
-            u = CLet(u, binder, body)
-        return u
-
-    u = t
-    while True:
-        while isinstance(u, CLet):
-            stack.append((u.binder, u.body))
-            u = u.bound
-        if cc_is_value(u):
-            if not stack:
-                return EvalOutcome(Outcome.VALUE, u, steps)
-            if steps >= fuel:
-                return EvalOutcome(Outcome.OUT_OF_FUEL, plug(u), steps)
-            binder, body = stack.pop()
-            u = cc_subst({binder: u}, body)
-            steps += 1
-            continue
-        if steps >= fuel:
-            return EvalOutcome(Outcome.OUT_OF_FUEL, plug(u), steps)
-        nxt = step_cc(u)
-        if nxt is None:
-            return EvalOutcome(Outcome.STUCK, plug(u), steps)
-        u = nxt
-        steps += 1
+    """Iterate step_cc to a value, stuck term, or fuel exhaustion."""
+    return eval_lets(CLet, cc_is_value, step_cc, t, fuel)
 
 
 # ---------------------------------------------------------------------------
 # Hoisted programs
 
 
-def typecheck_hoisted(p: HoistedProgram, mode: str = "skolem") -> CCType:
+def typecheck_hoisted(p: HoistedProgram) -> CCType:
     """Type every listed function in the empty context, then the body.
 
     Inside the body, closure code parts may mention the top-level function
     binders (stubs applied to dependency tuples); those are the only names
     the closed-code check admits there.
     """
-    inf = _Inference(mode)
+    inf = _Inference()
     ctx = []
     for binder, fn in zip(p.binders, p.functions):
-        fv = cc_free_vars(fn)
+        fv = free_vars(fn)
         if fv:
             raise UnboundVariable(sorted(fv)[0])
         ty = inf.infer([], fn)
@@ -658,88 +470,5 @@ def typecheck_hoisted(p: HoistedProgram, mode: str = "skolem") -> CCType:
     return inf.finish(inf.infer(ctx, p.body))
 
 
-def hoisted_body_subst(p: HoistedProgram) -> CCTerm:
-    """The body with each listed function substituted for its binder in order."""
-    body = p.body
-    for binder, fn in zip(p.binders, p.functions):
-        body = cc_subst({binder: fn}, body)
-    return body
-
-
 def eval_hoisted(p: HoistedProgram, fuel: int) -> EvalOutcome:
-    return eval_cc(hoisted_body_subst(p), fuel)
-
-
-# ---------------------------------------------------------------------------
-# Alpha-equivalence over CC terms (canonical de Bruijn-style renaming)
-
-
-def cc_alpha_eq(a: CCTerm, b: CCTerm) -> bool:
-    fa, fb = cc_free_vars(a), cc_free_vars(b)
-    if fa != fb:
-        return False
-    env = {x: i for i, x in enumerate(sorted(fa))}
-    return _canon(a, env, len(env)) == _canon(b, env, len(env))
-
-
-def _canon(t, env, depth):
-    if isinstance(t, CVar):
-        if t.name not in env:
-            raise UnboundVariable(t.name)
-        return ("v", env[t.name])
-    if isinstance(t, CNat):
-        return ("n", t.n)
-    if isinstance(t, CUnit):
-        return ("u",)
-    if isinstance(t, CPred):
-        return ("pred", _canon(t.arg, env, depth))
-    if isinstance(t, CFst):
-        return ("fst", _canon(t.arg, env, depth))
-    if isinstance(t, CSnd):
-        return ("snd", _canon(t.arg, env, depth))
-    if isinstance(t, CPlus):
-        return ("plus", _canon(t.l, env, depth), _canon(t.r, env, depth))
-    if isinstance(t, CPair):
-        return ("pair", _canon(t.l, env, depth), _canon(t.r, env, depth))
-    if isinstance(t, CIfz):
-        return (
-            "ifz",
-            _canon(t.cond, env, depth),
-            _canon(t.zbranch, env, depth),
-            _canon(t.nzbranch, env, depth),
-        )
-    if isinstance(t, CClos):
-        return ("clos", _canon(t.code, env, depth), _canon(t.env, env, depth))
-    if isinstance(t, CApp):
-        return ("app", _canon(t.fn, env, depth), _canon(t.arg, env, depth))
-    if isinstance(t, CLet):
-        bound = _canon(t.bound, env, depth)
-        env2 = dict(env)
-        env2[t.binder] = depth
-        return ("let", bound, _canon(t.body, env2, depth + 1))
-    if isinstance(t, CAbs):
-        env2 = dict(env)
-        env2[t.binder] = depth
-        return ("abs", _canon(t.body, env2, depth + 1))
-    if isinstance(t, COpen):
-        scrut = _canon(t.scrutinee, env, depth)
-        env2 = dict(env)
-        env2[t.fbinder] = depth
-        env2[t.ebinder] = depth + 1
-        return ("open", scrut, _canon(t.body, env2, depth + 2))
-    raise TypeError(t)
-
-
-def hoisted_alpha_eq(a: HoistedProgram, b: HoistedProgram) -> bool:
-    if len(a.functions) != len(b.functions):
-        return False
-    if not all(cc_alpha_eq(f, g) for f, g in zip(a.functions, b.functions)):
-        return False
-    return cc_alpha_eq(_letify(a), _letify(b))
-
-
-def _letify(p: HoistedProgram) -> CCTerm:
-    body = p.body
-    for binder, fn in reversed(list(zip(p.binders, p.functions))):
-        body = CLet(fn, binder, body)
-    return body
+    return eval_cc(program_body(p), fuel)

@@ -9,7 +9,6 @@ Applications open the closure and call the code on the triple
 
 from __future__ import annotations
 
-from . import source_lang as src
 from .cc_lang import (
     CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred, CSnd,
     CVar, CCTerm, CC_UNITVAL,
@@ -19,6 +18,7 @@ from .fresh import FreshSupply
 from .source_lang import (
     App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, SrcTerm, UnitLit, Var,
 )
+from .term import all_names, children
 
 
 def combine(a, b):
@@ -37,23 +37,10 @@ def fvars(t: SrcTerm, candidates, bound=frozenset()):
             if t.name in candidates:
                 return [t.name]
             raise UntrackedVariable(t.name)
-        if isinstance(t, (NatLit, UnitLit)):
-            return []
-        if isinstance(t, (Pred, Fst, Snd)):
-            return go(t.arg, bound)
-        if isinstance(t, (Plus, Pair)):
-            return combine(go(t.l, bound), go(t.r, bound))
-        if isinstance(t, Ifz):
-            return combine(
-                combine(go(t.cond, bound), go(t.zbranch, bound)), go(t.nzbranch, bound)
-            )
-        if isinstance(t, App):
-            return combine(go(t.fn, bound), go(t.arg, bound))
-        if isinstance(t, Let):
-            return combine(go(t.bound, bound), go(t.body, bound | {t.binder}))
-        if isinstance(t, Fix):
-            return go(t.body, bound | {t.selfbinder, t.argbinder})
-        raise TypeError(t)
+        out = []
+        for _, c, scope in children(t):
+            out = combine(out, go(c, bound | set(scope) if scope else bound))
+        return out
 
     return go(t, bound)
 
@@ -176,5 +163,5 @@ def cc_transform(rho, varlist, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
 
 
 def cc_program(t: SrcTerm) -> CCTerm:
-    fresh = FreshSupply(avoid=src.all_names(t))
+    fresh = FreshSupply(avoid=all_names(t))
     return cc_transform({}, [], t, fresh)

@@ -11,84 +11,83 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import HeapExhausted, OutOfBounds
-from .fresh import fresh_name
-from .source_lang import EvalOutcome, Outcome
+from .term import Term, children, eval_lets, node, program_body, subst
 
 
-class CgTerm:
+class CgTerm(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node("(nat #n)")
 class GNat(CgTerm):
     n: int
 
 
-@dataclass(frozen=True)
+@node("(var name)", var=True)
 class GVar(CgTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@node("unit")
 class GUnit(CgTerm):
     pass
 
 
-@dataclass(frozen=True)
+@node("(loc #index)")
 class GLoc(CgTerm):
     index: int
 
 
-@dataclass(frozen=True)
+@node("(pred arg)")
 class GPred(CgTerm):
     arg: CgTerm
 
 
-@dataclass(frozen=True)
+@node("(plus l r)")
 class GPlus(CgTerm):
     l: CgTerm
     r: CgTerm
 
 
-@dataclass(frozen=True)
+@node("(ifz cond zbranch nzbranch)")
 class GIfz(CgTerm):
     cond: CgTerm
     zbranch: CgTerm
     nzbranch: CgTerm
 
 
-@dataclass(frozen=True)
+@node("(app fn arg)")
 class GApp(CgTerm):
     fn: CgTerm
     arg: CgTerm
 
 
-@dataclass(frozen=True)
+@node("(alloc #n)")
 class GAlloc(CgTerm):
     n: int
 
 
-@dataclass(frozen=True)
+@node("(move base #offset value)")
 class GMove(CgTerm):
     base: CgTerm
     offset: int
     value: CgTerm
 
 
-@dataclass(frozen=True)
+@node("(load base #offset)")
 class GLoad(CgTerm):
     base: CgTerm
     offset: int
 
 
-@dataclass(frozen=True)
+@node("(let bound (binder body))", binds={"body": ("binder",)})
 class GLet(CgTerm):
     bound: CgTerm
     binder: str
     body: CgTerm
 
 
-@dataclass(frozen=True)
+@node("(cabs (binder) body)", binds={"body": ("binder",)})
 class GAbs(CgTerm):
     binder: str
     body: CgTerm
@@ -108,96 +107,6 @@ def cg_is_value(t: CgTerm) -> bool:
     return isinstance(t, (GNat, GUnit, GLoc, GAbs))
 
 
-def cg_free_vars(t: CgTerm) -> frozenset:
-    # Cached on the (immutable) node: substitution shares untouched subtrees,
-    # so the cache makes repeated stepping roughly linear in the redex path.
-    fv = getattr(t, "_fv", None)
-    if fv is not None:
-        return fv
-    if isinstance(t, GVar):
-        fv = frozenset((t.name,))
-    elif isinstance(t, (GNat, GUnit, GLoc, GAlloc)):
-        fv = frozenset()
-    elif isinstance(t, GPred):
-        fv = cg_free_vars(t.arg)
-    elif isinstance(t, GPlus):
-        fv = cg_free_vars(t.l) | cg_free_vars(t.r)
-    elif isinstance(t, GIfz):
-        fv = (
-            cg_free_vars(t.cond) | cg_free_vars(t.zbranch) | cg_free_vars(t.nzbranch)
-        )
-    elif isinstance(t, GApp):
-        fv = cg_free_vars(t.fn) | cg_free_vars(t.arg)
-    elif isinstance(t, GMove):
-        fv = cg_free_vars(t.base) | cg_free_vars(t.value)
-    elif isinstance(t, GLoad):
-        fv = cg_free_vars(t.base)
-    elif isinstance(t, GLet):
-        fv = cg_free_vars(t.bound) | (cg_free_vars(t.body) - {t.binder})
-    elif isinstance(t, GAbs):
-        fv = cg_free_vars(t.body) - {t.binder}
-    else:
-        raise TypeError(t)
-    object.__setattr__(t, "_fv", fv)
-    return fv
-
-
-def cg_subst(s, t: CgTerm) -> CgTerm:
-    s = dict(s)
-    if not s:
-        return t
-    fvs = {x: cg_free_vars(v) for x, v in s.items()}
-    return _subst(s, fvs, t)
-
-
-def _subst(s, fvs, t):
-    if cg_free_vars(t).isdisjoint(s):
-        return t
-    if isinstance(t, GVar):
-        return s.get(t.name, t)
-    if isinstance(t, (GNat, GUnit, GLoc, GAlloc)):
-        return t
-    if isinstance(t, GPred):
-        return GPred(_subst(s, fvs, t.arg))
-    if isinstance(t, GPlus):
-        return GPlus(_subst(s, fvs, t.l), _subst(s, fvs, t.r))
-    if isinstance(t, GIfz):
-        return GIfz(
-            _subst(s, fvs, t.cond),
-            _subst(s, fvs, t.zbranch),
-            _subst(s, fvs, t.nzbranch),
-        )
-    if isinstance(t, GApp):
-        return GApp(_subst(s, fvs, t.fn), _subst(s, fvs, t.arg))
-    if isinstance(t, GMove):
-        return GMove(_subst(s, fvs, t.base), t.offset, _subst(s, fvs, t.value))
-    if isinstance(t, GLoad):
-        return GLoad(_subst(s, fvs, t.base), t.offset)
-    if isinstance(t, GLet):
-        bound = _subst(s, fvs, t.bound)
-        binder, body = _under(s, fvs, t.binder, t.body)
-        return GLet(bound, binder, body)
-    if isinstance(t, GAbs):
-        binder, body = _under(s, fvs, t.binder, t.body)
-        return GAbs(binder, body)
-    raise TypeError(t)
-
-
-def _under(s, fvs, binder, body):
-    s2 = {x: v for x, v in s.items() if x != binder}
-    if not s2:
-        return binder, body
-    relevant = set()
-    for x in s2:
-        relevant |= fvs[x]
-    if binder in relevant:
-        avoid = relevant | cg_free_vars(body) | set(s2) | {binder}
-        nb = fresh_name(binder, avoid)
-        body = cg_subst({binder: GVar(nb)}, body)
-        binder = nb
-    return binder, _subst(s2, {x: fvs[x] for x in s2}, body)
-
-
 # ---------------------------------------------------------------------------
 # Memory model
 
@@ -207,9 +116,6 @@ class MemState:
     next_free: int = 0
     heap: tuple = ()
     cap: int = None
-
-    def cells(self):
-        return dict(enumerate(self.heap))
 
 
 EMPTY_MEM = MemState()
@@ -261,7 +167,7 @@ def step_cg(s: MemState, t: CgTerm):
         return None
     if isinstance(t, GApp):
         if isinstance(t.fn, GAbs) and cg_is_value(t.arg):
-            return s, cg_subst({t.fn.binder: t.arg}, t.fn.body)
+            return s, subst({t.fn.binder: t.arg}, t.fn.body)
         return None
     if isinstance(t, GAlloc):
         s2, loc = allocate(s, t.n)
@@ -276,7 +182,7 @@ def step_cg(s: MemState, t: CgTerm):
         return None
     if isinstance(t, GLet):
         if cg_is_value(t.bound):
-            return s, cg_subst({t.binder: t.bound}, t.body)
+            return s, subst({t.binder: t.bound}, t.body)
         r = step_cg(s, t.bound)
         if r is None:
             return None
@@ -286,79 +192,37 @@ def step_cg(s: MemState, t: CgTerm):
 
 
 def eval_cg(s: MemState, t: CgTerm, fuel: int):
-    """Iterate the step relation to a value, stuck term, or fuel exhaustion.
+    """Iterate step_cg to a value, stuck term, or fuel exhaustion; returns
+    the outcome and the final memory state."""
+    mem = s
 
-    Maintains the enclosing let-frames on an explicit stack so that each step
-    costs time near the redex rather than a walk from the root; the step
-    counts agree exactly with iterating step_cg.
-    """
-    steps = 0
-    stack = []
-
-    def plug(u):
-        for binder, body in reversed(stack):
-            u = GLet(u, binder, body)
+    def step(u):
+        nonlocal mem
+        r = step_cg(mem, u)
+        if r is None:
+            return None
+        mem, u = r
         return u
 
-    u = t
-    while True:
-        while isinstance(u, GLet):
-            stack.append((u.binder, u.body))
-            u = u.bound
-        if cg_is_value(u):
-            if not stack:
-                return EvalOutcome(Outcome.VALUE, u, steps), s
-            if steps >= fuel:
-                return EvalOutcome(Outcome.OUT_OF_FUEL, plug(u), steps), s
-            binder, body = stack.pop()
-            u = cg_subst({binder: u}, body)
-            steps += 1
-            continue
-        if steps >= fuel:
-            return EvalOutcome(Outcome.OUT_OF_FUEL, plug(u), steps), s
-        r = step_cg(s, u)
-        if r is None:
-            return EvalOutcome(Outcome.STUCK, plug(u), steps), s
-        s, u = r
-        steps += 1
+    outcome = eval_lets(GLet, cg_is_value, step, t, fuel)
+    return outcome, mem
 
 
 def eval_cg_program(p: CgProgram, fuel: int, cap=None):
     """Substitute the top-level functions into the body, run from empty heap."""
-    body = p.body
-    for binder, fn in zip(p.binders, p.functions):
-        body = cg_subst({binder: fn}, body)
-    return eval_cg(MemState(cap=cap), body, fuel)
+    return eval_cg(MemState(cap=cap), program_body(p), fuel)
 
 
 def check_operand_form(t: CgTerm) -> bool:
-    """Operands of pred/plus/app/move/load/ifz are constants or variables."""
-
-    def is_operand(c):
-        return isinstance(c, (GNat, GVar, GUnit, GLoc))
-
-    def ok(t):
-        if isinstance(t, (GNat, GVar, GUnit, GLoc, GAlloc)):
-            return True
-        if isinstance(t, GPred):
-            return is_operand(t.arg)
-        if isinstance(t, GPlus):
-            return is_operand(t.l) and is_operand(t.r)
-        if isinstance(t, GIfz):
-            return is_operand(t.cond) and ok(t.zbranch) and ok(t.nzbranch)
-        if isinstance(t, GApp):
-            return is_operand(t.fn) and is_operand(t.arg)
-        if isinstance(t, GMove):
-            return is_operand(t.base) and is_operand(t.value)
-        if isinstance(t, GLoad):
-            return is_operand(t.base)
-        if isinstance(t, GLet):
-            return ok(t.bound) and ok(t.body)
-        if isinstance(t, GAbs):
-            return ok(t.body)
-        raise TypeError(t)
-
-    return ok(t)
+    """Operands of pred/plus/app/move/load/ifz are constants or variables;
+    only the branches of ifz and the parts of let and abs hold statements."""
+    for f, c, _ in children(t):
+        if f in ("zbranch", "nzbranch", "bound", "body"):
+            if not check_operand_form(c):
+                return False
+        elif not isinstance(c, (GNat, GVar, GUnit, GLoc)):
+            return False
+    return True
 
 
 def check_program_operand_form(p: CgProgram) -> bool:

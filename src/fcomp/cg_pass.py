@@ -14,7 +14,7 @@ from typing import Callable
 
 from .cc_lang import (
     CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred,
-    CSnd, CUnit, CVar, CCTerm, HoistedProgram, cc_all_names, cc_subst,
+    CSnd, CUnit, CVar, CCTerm, HoistedProgram, closure_call_arg,
 )
 from .cg_lang import (
     CgProgram, CgTerm, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GMove, GNat,
@@ -22,6 +22,7 @@ from .cg_lang import (
 )
 from .errors import UnsupportedShape
 from .fresh import FreshSupply
+from .term import all_names, subst
 
 
 @dataclass
@@ -106,7 +107,7 @@ def cgen_stmt(t: CCTerm, k: CgKont, fresh: FreshSupply) -> CgTerm:
     if isinstance(t, CLet):
 
         def kl(v1):
-            return cgen_stmt(cc_subst({t.binder: v1}, t.body), k, fresh)
+            return cgen_stmt(subst({t.binder: v1}, t.body), k, fresh)
 
         return cgen_stmt(t.bound, CgKont(kl), fresh)
     if isinstance(t, CApp):
@@ -120,18 +121,9 @@ def cgen_stmt(t: CCTerm, k: CgKont, fresh: FreshSupply) -> CgTerm:
 
         return cgen_stmt(t.fn, CgKont(k1), fresh)
     if isinstance(t, COpen):
-        body = t.body
-        pattern = (
-            isinstance(body, CApp)
-            and body.fn == CVar(t.fbinder)
-            and isinstance(body.arg, CPair)
-            and body.arg.l == t.scrutinee
-            and isinstance(body.arg.r, CPair)
-            and body.arg.r.r == CVar(t.ebinder)
-        )
-        if not pattern:
+        m2 = closure_call_arg(t)
+        if m2 is None:
             raise UnsupportedShape("open not in closure-application form")
-        m2 = body.arg.r.l
 
         def k_clos(x1):
             def k_arg(x2):
@@ -204,7 +196,7 @@ def cgen_fn(f: CCTerm, fresh: FreshSupply) -> CgTerm:
         if isinstance(w, CLet):
 
             def kl(v):
-                return compile_wrapper(cc_subst({w.binder: v}, w.body))
+                return compile_wrapper(subst({w.binder: v}, w.body))
 
             return cgen_stmt(w.bound, CgKont(kl), fresh)
         raise UnsupportedShape("hoisted function body must end in an abstraction")
@@ -215,8 +207,8 @@ def cgen_fn(f: CCTerm, fresh: FreshSupply) -> CgTerm:
 def cgen_program(p: HoistedProgram) -> CgProgram:
     avoid = set(p.binders)
     for fn in p.functions:
-        avoid |= cc_all_names(fn)
-    avoid |= cc_all_names(p.body)
+        avoid |= all_names(fn)
+    avoid |= all_names(p.body)
     fresh = FreshSupply(avoid=avoid)
     functions = tuple(cgen_fn(f, fresh) for f in p.functions)
     body = cgen_stmt(p.body, identity_cgkont(), fresh)

@@ -10,11 +10,13 @@ import argparse
 import os
 import sys
 
-from . import cc_lang, pipeline, source_lang, surface
+from . import cc_lang, cg_lang, pipeline, source_lang, surface
 from .errors import FcompError
 from .harness import GenConfig, check_preservation, format_report, fuzz
 from .pipeline import Stage
+from .sexpr import render
 from .source_lang import Outcome
+from .term import program_body, to_sexpr
 
 
 def _read_file(path):
@@ -70,16 +72,7 @@ def cmd_run(args):
 def _show_value(stage, v):
     if stage in (Stage.SOURCE, Stage.CPS):
         return surface.print_source(v)
-    artifact = pipeline.StageArtifact(
-        Stage.CC if stage is Stage.HOIST else stage, v
-    )
-    if stage is Stage.CG:
-        from .sexpr import cg_to_sexpr, render
-
-        return render(cg_to_sexpr(v))
-    from .sexpr import cc_to_sexpr, render
-
-    return render(cc_to_sexpr(v))
+    return render(to_sexpr(v))
 
 
 def cmd_trace(args):
@@ -92,7 +85,7 @@ def cmd_trace(args):
     elif stage is Stage.CC:
         stepper = _cc_stepper(payload)
     elif stage is Stage.HOIST:
-        stepper = _cc_stepper(cc_lang.hoisted_body_subst(payload))
+        stepper = _cc_stepper(program_body(payload))
     else:
         stepper = _cg_stepper(payload)
     for i, line in enumerate(stepper):
@@ -110,23 +103,16 @@ def _src_stepper(t):
 
 
 def _cc_stepper(t):
-    from .sexpr import cc_to_sexpr, render
-
     while t is not None:
-        yield render(cc_to_sexpr(t))
+        yield render(to_sexpr(t))
         t = cc_lang.step_cc(t)
 
 
 def _cg_stepper(p):
-    from . import cg_lang
-    from .sexpr import cg_to_sexpr, render
-
-    body = p.body
-    for binder, fn in zip(p.binders, p.functions):
-        body = cg_lang.cg_subst({binder: fn}, body)
+    body = program_body(p)
     mem = cg_lang.MemState()
     while True:
-        yield f"[next_free={mem.next_free}] " + render(cg_to_sexpr(body))
+        yield f"[next_free={mem.next_free}] " + render(to_sexpr(body))
         r = cg_lang.step_cg(mem, body)
         if r is None:
             return

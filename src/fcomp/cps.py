@@ -9,37 +9,17 @@ source grammar has no non-recursive lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 from . import source_lang as src
 from .fresh import FreshSupply
 from .source_lang import (
     App, Fix, Ifz, Let, NatLit, Pair, Plus, Pred, Fst, Snd, SrcTerm, UnitLit, Var,
     TArrow, TProd, SrcType, TNat, TUnit,
 )
+from .term import all_names, subst
 
 
-@dataclass
-class Kont:
-    """A one-argument term builder standing for the continuation K.
-
-    ``captures`` lists identifiers the built term may bind around its hole;
-    the supply must avoid them when inventing names for the hole's value.
-    """
-
-    fn: Callable[[SrcTerm], SrcTerm]
-    captures: frozenset = field(default_factory=frozenset)
-
-    def __call__(self, value_slot: SrcTerm) -> SrcTerm:
-        return self.fn(value_slot)
-
-
-def identity_kont() -> Kont:
-    return Kont(lambda v: v)
-
-
-def cps_transform(t: SrcTerm, k: Kont, fresh: FreshSupply) -> SrcTerm:
+def cps_transform(t: SrcTerm, k, fresh: FreshSupply) -> SrcTerm:
+    """CPS-convert t; k builds the term that consumes t's value slot."""
     if isinstance(t, (NatLit, UnitLit, Var)):
         return k(t)
     if isinstance(t, Pred):
@@ -54,28 +34,29 @@ def cps_transform(t: SrcTerm, k: Kont, fresh: FreshSupply) -> SrcTerm:
         return _op2(t.l, t.r, Pair, k, fresh)
     if isinstance(t, Ifz):
         kv = fresh.fresh("k")
-        branch_k = Kont(lambda x: App(Var(kv), x), frozenset((kv,)))
+
+        def branch_k(x):
+            return App(Var(kv), x)
+
         zb = cps_transform(t.zbranch, branch_k, fresh)
         nzb = cps_transform(t.nzbranch, branch_k, fresh)
 
         def ifz_k(x1):
             return Let(_reify(k, fresh), kv, Ifz(x1, zb, nzb))
 
-        return cps_transform(t.cond, Kont(ifz_k, frozenset((kv,))), fresh)
+        return cps_transform(t.cond, ifz_k, fresh)
     if isinstance(t, Let):
 
         def let_k(v1):
-            body = src.subst_apply({t.binder: v1}, t.body)
+            body = subst({t.binder: v1}, t.body)
             return cps_transform(body, k, fresh)
 
-        return cps_transform(t.bound, Kont(let_k, k.captures), fresh)
+        return cps_transform(t.bound, let_k, fresh)
     if isinstance(t, Fix):
         p = fresh.fresh("p")
         kv = fresh.fresh("k")
         v = fresh.fresh("v")
-        body = cps_transform(
-            t.body, Kont(lambda y: App(Var(kv), y), frozenset((kv,))), fresh
-        )
+        body = cps_transform(t.body, lambda y: App(Var(kv), y), fresh)
         fn = Fix(
             t.selfbinder,
             p,
@@ -94,9 +75,9 @@ def cps_transform(t: SrcTerm, k: Kont, fresh: FreshSupply) -> SrcTerm:
                     _reify(k, fresh), kv, Let(Pair(Var(kv), x2), p, App(x1, Var(p)))
                 )
 
-            return cps_transform(t.arg, Kont(arg_k, k.captures), fresh)
+            return cps_transform(t.arg, arg_k, fresh)
 
-        return cps_transform(t.fn, Kont(app_k, k.captures), fresh)
+        return cps_transform(t.fn, app_k, fresh)
     raise TypeError(t)
 
 
@@ -105,7 +86,7 @@ def _op1(arg, ctor, k, fresh):
         v = fresh.fresh("v")
         return Let(ctor(x), v, k(Var(v)))
 
-    return cps_transform(arg, Kont(kf, k.captures), fresh)
+    return cps_transform(arg, kf, fresh)
 
 
 def _op2(l, r, ctor, k, fresh):
@@ -114,12 +95,12 @@ def _op2(l, r, ctor, k, fresh):
             v = fresh.fresh("v")
             return Let(ctor(x1, x2), v, k(Var(v)))
 
-        return cps_transform(r, Kont(k2, k.captures), fresh)
+        return cps_transform(r, k2, fresh)
 
-    return cps_transform(l, Kont(k1, k.captures), fresh)
+    return cps_transform(l, k1, fresh)
 
 
-def _reify(k: Kont, fresh: FreshSupply) -> SrcTerm:
+def _reify(k, fresh: FreshSupply) -> SrcTerm:
     """The dynamic continuation fix _ a. K@a for rules that bind K by let."""
     f = fresh.fresh("f")
     a = fresh.fresh("a")
@@ -145,5 +126,5 @@ def cps_program(t: SrcTerm) -> SrcTerm:
         from .errors import TypeMismatch
 
         raise TypeMismatch(t, src.NAT, ty)
-    fresh = FreshSupply(avoid=src.all_names(t))
-    return cps_transform(t, identity_kont(), fresh)
+    fresh = FreshSupply(avoid=all_names(t))
+    return cps_transform(t, lambda v: v, fresh)

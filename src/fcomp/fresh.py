@@ -28,9 +28,6 @@ class FreshSupply:
                 self._avoid.add(name)
                 return name
 
-    def reserve(self, names):
-        self._avoid.update(names)
-
 
 def fresh_name(base, avoid):
     """A fresh name derived from ``base`` not occurring in ``avoid``.

@@ -18,13 +18,13 @@ from . import cc_lang, cg_lang, source_lang as src
 from .cg_lang import check_program_operand_form
 from .errors import ArrowTypeUnsupported, FcompError
 from .hoist_pass import check_abs_flat
-from .pipeline import Stage, compile_stages, run
+from .pipeline import Stage, compile_stages, result_nat, run
 from .sexpr import render, src_to_sexpr
 from .source_lang import (
-    App, EvalOutcome, Fix, Ifz, Let, NatLit, Outcome, Pair, Plus, Pred,
-    SrcTerm, Var, eval_src, free_vars, is_value, step_src,
-    typecheck_src, NAT, UNIT, TArrow, TProd,
+    App, Fix, Ifz, Let, NatLit, Outcome, Pair, Plus, Pred, SrcTerm, Var,
+    eval_src, is_value, step_src, typecheck_src, NAT, UNIT, TArrow, TProd,
 )
+from .term import children, free_vars, program_body
 
 
 @dataclass(frozen=True)
@@ -193,15 +193,6 @@ def gen_typed_program(cfg: GenConfig) -> SrcTerm:
 # Differential checks
 
 
-def _nat_of(outcome: EvalOutcome):
-    if outcome.kind is not Outcome.VALUE:
-        return None
-    v = outcome.value
-    if isinstance(v, (src.NatLit, cc_lang.CNat, cg_lang.GNat)):
-        return v.n
-    return None
-
-
 def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
     """Type and semantics preservation across the whole pipeline for one t."""
     if report is None:
@@ -244,13 +235,13 @@ def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
         return report
     if src_out.kind is Outcome.VALUE:
         report.terminating += 1
-        n = _nat_of(src_out)
+        n = result_nat(src_out)
         if n is None:
             fail("source-eval", "a nat value", src_out.value)
             return report
         for stage in (Stage.CPS, Stage.CC, Stage.HOIST, Stage.CG):
             out, _ = run(stages[stage], max(fuel * 40, 100_000))
-            got = _nat_of(out)
+            got = result_nat(out) if out.kind is Outcome.VALUE else None
             if got != n:
                 fail(stage.value + "-eval", n, out)
     return report
@@ -280,7 +271,7 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
     hoisted = stages[Stage.HOIST].payload
     if not check_abs_flat(hoisted):
         fail("hoist-shape", "Abs-flat hoisted program", hoisted)
-    if any(cc_lang.cc_free_vars(f) for f in hoisted.functions):
+    if any(free_vars(f) for f in hoisted.functions):
         fail("hoist-shape", "closed hoisted functions", hoisted)
     cg_p = stages[Stage.CG].payload
     if not check_program_operand_form(cg_p):
@@ -303,7 +294,7 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
                 break
             term = n1
 
-    for cterm in (cc_t, cc_lang.hoisted_body_subst(hoisted)):
+    for cterm in (cc_t, program_body(hoisted)):
         for _ in range(budget):
             if cc_lang.cc_is_value(cterm):
                 break
@@ -317,9 +308,7 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
             cterm = n1
 
     mem = cg_lang.MemState()
-    gterm = cg_p.body
-    for binder, fn in zip(cg_p.binders, cg_p.functions):
-        gterm = cg_lang.cg_subst({binder: fn}, gterm)
+    gterm = program_body(cg_p)
     for _ in range(budget):
         if cg_lang.cg_is_value(gterm):
             break
@@ -331,16 +320,6 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
         if r1 is None:
             fail("cg-step", "progress", gterm)
             break
-        if isinstance(gterm, cg_lang.GLet) and isinstance(
-            gterm.bound, cg_lang.GLoad
-        ):
-            # Memory safety: every executed load is in bounds.
-            base = gterm.bound.base
-            if isinstance(base, cg_lang.GLoc):
-                idx = base.index + gterm.bound.offset
-                if not (0 <= idx < mem.next_free):
-                    fail("cg-step", "in-bounds load", gterm)
-                    break
         mem, gterm = r1
     return report
 
@@ -350,21 +329,19 @@ def _operators_are_vars(t: SrcTerm) -> bool:
         if not isinstance(t.fn, Var):
             return False
         return _operators_are_vars(t.arg)
-    for f in dataclasses.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, SrcTerm) and not _operators_are_vars(v):
+    for _, v, _ in children(t):
+        if not _operators_are_vars(v):
             return False
     return True
 
 
 def _closure_code_closed(t) -> bool:
     if isinstance(t, cc_lang.CClos):
-        if cc_lang.cc_free_vars(t.code):
+        if free_vars(t.code):
             return False
         return _closure_code_closed(t.env)
-    for f in dataclasses.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, cc_lang.CCTerm) and not _closure_code_closed(v):
+    for _, v, _ in children(t):
+        if not _closure_code_closed(v):
             return False
     return True
 
@@ -378,9 +355,7 @@ def _norm_value(v):
         return ("nat", v.n)
     if isinstance(v, (src.UnitLit, cc_lang.CUnit, cg_lang.GUnit)):
         return ("unit",)
-    if isinstance(v, src.Pair):
-        return ("pair", _norm_value(v.l), _norm_value(v.r))
-    if isinstance(v, cc_lang.CPair):
+    if isinstance(v, (src.Pair, cc_lang.CPair)):
         return ("pair", _norm_value(v.l), _norm_value(v.r))
     return ("opaque", v)
 
@@ -445,11 +420,9 @@ def sim_fo(T, i: int, m1, m2, target_fuel: int = 1_000_000) -> bool:
 def _positions(t):
     """Yield (path, subterm) pairs in preorder; paths are field-name tuples."""
     yield (), t
-    for f in dataclasses.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, SrcTerm):
-            for path, sub in _positions(v):
-                yield (f.name,) + path, sub
+    for f, v, _ in children(t):
+        for path, sub in _positions(v):
+            yield (f,) + path, sub
 
 
 def _replace(t, path, new):
@@ -485,9 +458,8 @@ def shrink(t: SrcTerm, fails) -> SrcTerm:
             candidates = []
             if not (isinstance(sub, NatLit) and sub.n == 0):
                 candidates.append(_replace(current, path, NatLit(0)))
-            for f in dataclasses.fields(sub):
-                v = getattr(sub, f.name)
-                if isinstance(v, SrcTerm) and v != sub:
+            for _, v, _ in children(sub):
+                if v != sub:
                     candidates.append(_replace(current, path, v))
             for c in candidates:
                 if _size(c) < _size(current) and admissible(c):
@@ -501,10 +473,8 @@ def shrink(t: SrcTerm, fails) -> SrcTerm:
 
 def _size(t):
     n = 1
-    for f in dataclasses.fields(t):
-        v = getattr(t, f.name)
-        if isinstance(v, SrcTerm):
-            n += _size(v)
+    for _, v, _ in children(t):
+        n += _size(v)
     return n
 
 

@@ -13,11 +13,11 @@ from typing import Tuple
 
 from .cc_lang import (
     CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred,
-    CSnd, CUnit, CVar, CCTerm, CC_UNITVAL, HoistedProgram, cc_all_names,
-    cc_free_vars,
+    CSnd, CUnit, CVar, CCTerm, CC_UNITVAL, HoistedProgram, closure_call_arg,
 )
 from .errors import HoistEscape, UnsupportedShape
 from .fresh import FreshSupply
+from .term import all_names, children, free_vars
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def abstract_fn(arg: str, inner: HoistedBody):
     binders as a unit-ended tuple).
     """
     l = "_l"
-    avoid = cc_all_names(inner.term) | set(inner.binders) | {arg}
+    avoid = all_names(inner.term) | set(inner.binders) | {arg}
     while l in avoid:
         l = "_" + l
     body = CAbs(arg, inner.term)
@@ -63,7 +63,7 @@ def abstract_fn(arg: str, inner: HoistedBody):
 def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedProgram:
     """Hoist every Abs out of t into a top-level function list."""
     if fresh is None:
-        fresh = FreshSupply(avoid=cc_all_names(t))
+        fresh = FreshSupply(avoid=all_names(t))
     funcs = []
 
     def go(t, bound) -> HoistedBody:
@@ -73,25 +73,11 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
             if t.name not in bound:
                 raise UnsupportedShape(f"free variable {t.name} in hoisting input")
             return HoistedBody((), t)
-        if isinstance(t, CPred):
-            return hcombine([go(t.arg, bound)], CPred)
-        if isinstance(t, CFst):
-            return hcombine([go(t.arg, bound)], CFst)
-        if isinstance(t, CSnd):
-            return hcombine([go(t.arg, bound)], CSnd)
-        if isinstance(t, CPlus):
-            return hcombine([go(t.l, bound), go(t.r, bound)], CPlus)
-        if isinstance(t, CPair):
-            return hcombine([go(t.l, bound), go(t.r, bound)], CPair)
-        if isinstance(t, CApp):
-            return hcombine([go(t.fn, bound), go(t.arg, bound)], CApp)
-        if isinstance(t, CClos):
-            return hcombine([go(t.code, bound), go(t.env, bound)], CClos)
-        if isinstance(t, CIfz):
-            return hcombine(
-                [go(t.cond, bound), go(t.zbranch, bound), go(t.nzbranch, bound)],
-                CIfz,
-            )
+        if isinstance(t, (CPred, CFst, CSnd, CPlus, CPair, CApp, CClos, CIfz)):
+            parts = []
+            for _, c, _ in children(t):
+                parts.append(go(c, bound))
+            return hcombine(parts, type(t))
         if isinstance(t, CLet):
             p1 = go(t.bound, bound)
             mark = len(funcs)
@@ -99,22 +85,14 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
             _check_escape(t.binder, funcs[mark:])
             return hcombine([p1, p2], lambda a, b: CLet(a, t.binder, b))
         if isinstance(t, COpen):
-            body = t.body
-            pattern = (
-                isinstance(body, CApp)
-                and body.fn == CVar(t.fbinder)
-                and isinstance(body.arg, CPair)
-                and body.arg.l == t.scrutinee
-                and isinstance(body.arg.r, CPair)
-                and body.arg.r.r == CVar(t.ebinder)
-            )
-            if not pattern:
+            m2 = closure_call_arg(t)
+            if m2 is None:
                 raise UnsupportedShape(
                     "open not in closure-application form cannot be hoisted"
                 )
             mark = len(funcs)
             p1 = go(t.scrutinee, bound)
-            p2 = go(body.arg.r.l, bound)
+            p2 = go(m2, bound)
             _check_escape(t.fbinder, funcs[mark:])
             _check_escape(t.ebinder, funcs[mark:])
             return hcombine(
@@ -148,7 +126,7 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
 
 def _check_escape(binder, extracted):
     for _, fn in extracted:
-        if binder in cc_free_vars(fn):
+        if binder in free_vars(fn):
             raise HoistEscape(
                 f"binder {binder} occurs free in an extracted function"
             )
@@ -160,23 +138,10 @@ def check_abs_flat(p: HoistedProgram) -> bool:
     def flat(t):
         if isinstance(t, CAbs):
             return False
-        if isinstance(t, (CNat, CUnit, CVar)):
-            return True
-        if isinstance(t, (CPred, CFst, CSnd)):
-            return flat(t.arg)
-        if isinstance(t, (CPlus, CPair)):
-            return flat(t.l) and flat(t.r)
-        if isinstance(t, CIfz):
-            return flat(t.cond) and flat(t.zbranch) and flat(t.nzbranch)
-        if isinstance(t, CLet):
-            return flat(t.bound) and flat(t.body)
-        if isinstance(t, CClos):
-            return flat(t.code) and flat(t.env)
-        if isinstance(t, COpen):
-            return flat(t.scrutinee) and flat(t.body)
-        if isinstance(t, CApp):
-            return flat(t.fn) and flat(t.arg)
-        raise TypeError(t)
+        for _, c, _ in children(t):
+            if not flat(c):
+                return False
+        return True
 
     for fn in p.functions:
         # Shape: Abs l. (dependency lets) Abs x. body, body itself Abs-free.

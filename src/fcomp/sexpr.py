@@ -1,21 +1,22 @@
-"""S-expression printing and parsing for every IR in the pipeline.
+"""S-expression text for every IR in the pipeline: the reader, the
+renderer, types, and the program wrappers.
 
-One node per constructor: (nat 3), (var x), (pred e), (plus e1 e2),
-(ifz c z nz), unit, (pair e1 e2), (fst e), (snd e), (let e (x body)),
-(fix (f x) body), (app e1 e2); the closure IR adds (cabs (x) body),
-(clos f e), (open s (f e) body) and (htm (F1 ... Fn) (habs (f1 ... fn)
-body)); the first-order target adds (loc n), (alloc n), (move c n c),
-(load c n) and (letfun (f1 ... fn) (F1 ... Fn) S).
-
-Fix nodes carry their optional binder annotations as (fix (f x T1 T2)
-body); unannotated fixes print in the plain two-name form.
+Each term constructor's shape, e.g. ``(let e (x body))`` or ``(fix (f x T1
+T2) body)``, is the template on its class; ``term.to_sexpr`` and
+``term.from_sexpr`` print and read terms from those templates.  This module
+adds the types of fix annotations and the two program forms
+``(htm (F1 ... Fn) (habs (f1 ... fn) body))`` and ``(letfun (f1 ... fn)
+(F1 ... Fn) S)``.
 """
 
 from __future__ import annotations
 
+import functools
+
 from . import cc_lang as cc
 from . import cg_lang as cg
 from . import source_lang as src
+from . import term
 from .errors import ParseError
 
 
@@ -119,174 +120,24 @@ def src_type_from_sexpr(e):
 
 
 # ---------------------------------------------------------------------------
-# Source terms
+# Terms
 
 
 def src_to_sexpr(t):
-    if isinstance(t, src.NatLit):
-        return ["nat", str(t.n)]
-    if isinstance(t, src.Var):
-        return ["var", t.name]
-    if isinstance(t, src.UnitLit):
-        return "unit"
-    if isinstance(t, src.Pred):
-        return ["pred", src_to_sexpr(t.arg)]
-    if isinstance(t, src.Plus):
-        return ["plus", src_to_sexpr(t.l), src_to_sexpr(t.r)]
-    if isinstance(t, src.Ifz):
-        return [
-            "ifz",
-            src_to_sexpr(t.cond),
-            src_to_sexpr(t.zbranch),
-            src_to_sexpr(t.nzbranch),
-        ]
-    if isinstance(t, src.Pair):
-        return ["pair", src_to_sexpr(t.l), src_to_sexpr(t.r)]
-    if isinstance(t, src.Fst):
-        return ["fst", src_to_sexpr(t.arg)]
-    if isinstance(t, src.Snd):
-        return ["snd", src_to_sexpr(t.arg)]
-    if isinstance(t, src.Let):
-        return ["let", src_to_sexpr(t.bound), [t.binder, src_to_sexpr(t.body)]]
-    if isinstance(t, src.Fix):
-        header = [t.selfbinder, t.argbinder]
-        if t.argty is not None or t.retty is not None:
-            # A missing annotation is written "_" so partially annotated
-            # binders survive the round trip.
-            header = header + [
-                "_" if t.argty is None else type_to_sexpr(t.argty),
-                "_" if t.retty is None else type_to_sexpr(t.retty),
-            ]
-        return ["fix", header, src_to_sexpr(t.body)]
-    if isinstance(t, src.App):
-        return ["app", src_to_sexpr(t.fn), src_to_sexpr(t.arg)]
-    raise TypeError(t)
+    return term.to_sexpr(t, type_to_sexpr)
 
 
 def src_from_sexpr(e):
-    if e == "unit":
-        return src.UNITVAL
-    if not isinstance(e, list) or not e:
-        raise ParseError(f"bad term: {e!r}")
-    head = e[0]
-    if head == "nat" and len(e) == 2:
-        return src.NatLit(int(e[1]))
-    if head == "var" and len(e) == 2:
-        return src.Var(e[1])
-    if head == "pred" and len(e) == 2:
-        return src.Pred(src_from_sexpr(e[1]))
-    if head == "plus" and len(e) == 3:
-        return src.Plus(src_from_sexpr(e[1]), src_from_sexpr(e[2]))
-    if head == "ifz" and len(e) == 4:
-        return src.Ifz(
-            src_from_sexpr(e[1]), src_from_sexpr(e[2]), src_from_sexpr(e[3])
-        )
-    if head == "pair" and len(e) == 3:
-        return src.Pair(src_from_sexpr(e[1]), src_from_sexpr(e[2]))
-    if head == "fst" and len(e) == 2:
-        return src.Fst(src_from_sexpr(e[1]))
-    if head == "snd" and len(e) == 2:
-        return src.Snd(src_from_sexpr(e[1]))
-    if head == "let" and len(e) == 3 and isinstance(e[2], list) and len(e[2]) == 2:
-        return src.Let(src_from_sexpr(e[1]), e[2][0], src_from_sexpr(e[2][1]))
-    if head == "fix" and len(e) == 3 and isinstance(e[1], list):
-        header = e[1]
-        if len(header) == 2:
-            f, x = header
-            argty = retty = None
-        elif len(header) == 4:
-            f, x = header[0], header[1]
-            argty = None if header[2] == "_" else src_type_from_sexpr(header[2])
-            retty = None if header[3] == "_" else src_type_from_sexpr(header[3])
-        else:
-            raise ParseError(f"bad fix header: {header!r}")
-        return src.Fix(f, x, argty, retty, src_from_sexpr(e[2]))
-    if head == "app" and len(e) == 3:
-        return src.App(src_from_sexpr(e[1]), src_from_sexpr(e[2]))
-    raise ParseError(f"bad term: {e!r}")
+    return term.from_sexpr(src.SrcTerm, e, src_type_from_sexpr)
+
+
+cc_to_sexpr = cg_to_sexpr = term.to_sexpr
+cc_from_sexpr = functools.partial(term.from_sexpr, cc.CCTerm)
+cg_from_sexpr = functools.partial(term.from_sexpr, cg.CgTerm)
 
 
 # ---------------------------------------------------------------------------
-# Closure-converted terms and hoisted programs
-
-
-def cc_to_sexpr(t):
-    if isinstance(t, cc.CNat):
-        return ["nat", str(t.n)]
-    if isinstance(t, cc.CVar):
-        return ["var", t.name]
-    if isinstance(t, cc.CUnit):
-        return "unit"
-    if isinstance(t, cc.CPred):
-        return ["pred", cc_to_sexpr(t.arg)]
-    if isinstance(t, cc.CPlus):
-        return ["plus", cc_to_sexpr(t.l), cc_to_sexpr(t.r)]
-    if isinstance(t, cc.CIfz):
-        return [
-            "ifz",
-            cc_to_sexpr(t.cond),
-            cc_to_sexpr(t.zbranch),
-            cc_to_sexpr(t.nzbranch),
-        ]
-    if isinstance(t, cc.CPair):
-        return ["pair", cc_to_sexpr(t.l), cc_to_sexpr(t.r)]
-    if isinstance(t, cc.CFst):
-        return ["fst", cc_to_sexpr(t.arg)]
-    if isinstance(t, cc.CSnd):
-        return ["snd", cc_to_sexpr(t.arg)]
-    if isinstance(t, cc.CLet):
-        return ["let", cc_to_sexpr(t.bound), [t.binder, cc_to_sexpr(t.body)]]
-    if isinstance(t, cc.CAbs):
-        return ["cabs", [t.binder], cc_to_sexpr(t.body)]
-    if isinstance(t, cc.CClos):
-        return ["clos", cc_to_sexpr(t.code), cc_to_sexpr(t.env)]
-    if isinstance(t, cc.COpen):
-        return [
-            "open",
-            cc_to_sexpr(t.scrutinee),
-            [t.fbinder, t.ebinder],
-            cc_to_sexpr(t.body),
-        ]
-    if isinstance(t, cc.CApp):
-        return ["app", cc_to_sexpr(t.fn), cc_to_sexpr(t.arg)]
-    raise TypeError(t)
-
-
-def cc_from_sexpr(e):
-    if e == "unit":
-        return cc.CC_UNITVAL
-    if not isinstance(e, list) or not e:
-        raise ParseError(f"bad term: {e!r}")
-    head = e[0]
-    if head == "nat" and len(e) == 2:
-        return cc.CNat(int(e[1]))
-    if head == "var" and len(e) == 2:
-        return cc.CVar(e[1])
-    if head == "pred" and len(e) == 2:
-        return cc.CPred(cc_from_sexpr(e[1]))
-    if head == "plus" and len(e) == 3:
-        return cc.CPlus(cc_from_sexpr(e[1]), cc_from_sexpr(e[2]))
-    if head == "ifz" and len(e) == 4:
-        return cc.CIfz(cc_from_sexpr(e[1]), cc_from_sexpr(e[2]), cc_from_sexpr(e[3]))
-    if head == "pair" and len(e) == 3:
-        return cc.CPair(cc_from_sexpr(e[1]), cc_from_sexpr(e[2]))
-    if head == "fst" and len(e) == 2:
-        return cc.CFst(cc_from_sexpr(e[1]))
-    if head == "snd" and len(e) == 2:
-        return cc.CSnd(cc_from_sexpr(e[1]))
-    if head == "let" and len(e) == 3 and isinstance(e[2], list) and len(e[2]) == 2:
-        return cc.CLet(cc_from_sexpr(e[1]), e[2][0], cc_from_sexpr(e[2][1]))
-    if head == "cabs" and len(e) == 3 and isinstance(e[1], list) and len(e[1]) == 1:
-        return cc.CAbs(e[1][0], cc_from_sexpr(e[2]))
-    if head == "clos" and len(e) == 3:
-        return cc.CClos(cc_from_sexpr(e[1]), cc_from_sexpr(e[2]))
-    if head == "open" and len(e) == 4 and isinstance(e[2], list) and len(e[2]) == 2:
-        return cc.COpen(
-            cc_from_sexpr(e[1]), e[2][0], e[2][1], cc_from_sexpr(e[3])
-        )
-    if head == "app" and len(e) == 3:
-        return cc.CApp(cc_from_sexpr(e[1]), cc_from_sexpr(e[2]))
-    raise ParseError(f"bad term: {e!r}")
+# Programs
 
 
 def hoisted_to_sexpr(p):
@@ -313,78 +164,6 @@ def hoisted_from_sexpr(e):
             raise ParseError("htm binder/function arity mismatch")
         return cc.HoistedProgram(binders, functions, cc_from_sexpr(e[2][2]))
     raise ParseError(f"bad hoisted program: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# First-order target
-
-
-def cg_to_sexpr(t):
-    if isinstance(t, cg.GNat):
-        return ["nat", str(t.n)]
-    if isinstance(t, cg.GVar):
-        return ["var", t.name]
-    if isinstance(t, cg.GUnit):
-        return "unit"
-    if isinstance(t, cg.GLoc):
-        return ["loc", str(t.index)]
-    if isinstance(t, cg.GPred):
-        return ["pred", cg_to_sexpr(t.arg)]
-    if isinstance(t, cg.GPlus):
-        return ["plus", cg_to_sexpr(t.l), cg_to_sexpr(t.r)]
-    if isinstance(t, cg.GIfz):
-        return [
-            "ifz",
-            cg_to_sexpr(t.cond),
-            cg_to_sexpr(t.zbranch),
-            cg_to_sexpr(t.nzbranch),
-        ]
-    if isinstance(t, cg.GApp):
-        return ["app", cg_to_sexpr(t.fn), cg_to_sexpr(t.arg)]
-    if isinstance(t, cg.GAlloc):
-        return ["alloc", str(t.n)]
-    if isinstance(t, cg.GMove):
-        return ["move", cg_to_sexpr(t.base), str(t.offset), cg_to_sexpr(t.value)]
-    if isinstance(t, cg.GLoad):
-        return ["load", cg_to_sexpr(t.base), str(t.offset)]
-    if isinstance(t, cg.GLet):
-        return ["let", cg_to_sexpr(t.bound), [t.binder, cg_to_sexpr(t.body)]]
-    if isinstance(t, cg.GAbs):
-        return ["cabs", [t.binder], cg_to_sexpr(t.body)]
-    raise TypeError(t)
-
-
-def cg_from_sexpr(e):
-    if e == "unit":
-        return cg.G_UNITVAL
-    if not isinstance(e, list) or not e:
-        raise ParseError(f"bad term: {e!r}")
-    head = e[0]
-    if head == "nat" and len(e) == 2:
-        return cg.GNat(int(e[1]))
-    if head == "var" and len(e) == 2:
-        return cg.GVar(e[1])
-    if head == "loc" and len(e) == 2:
-        return cg.GLoc(int(e[1]))
-    if head == "pred" and len(e) == 2:
-        return cg.GPred(cg_from_sexpr(e[1]))
-    if head == "plus" and len(e) == 3:
-        return cg.GPlus(cg_from_sexpr(e[1]), cg_from_sexpr(e[2]))
-    if head == "ifz" and len(e) == 4:
-        return cg.GIfz(cg_from_sexpr(e[1]), cg_from_sexpr(e[2]), cg_from_sexpr(e[3]))
-    if head == "app" and len(e) == 3:
-        return cg.GApp(cg_from_sexpr(e[1]), cg_from_sexpr(e[2]))
-    if head == "alloc" and len(e) == 2:
-        return cg.GAlloc(int(e[1]))
-    if head == "move" and len(e) == 4:
-        return cg.GMove(cg_from_sexpr(e[1]), int(e[2]), cg_from_sexpr(e[3]))
-    if head == "load" and len(e) == 3:
-        return cg.GLoad(cg_from_sexpr(e[1]), int(e[2]))
-    if head == "let" and len(e) == 3 and isinstance(e[2], list) and len(e[2]) == 2:
-        return cg.GLet(cg_from_sexpr(e[1]), e[2][0], cg_from_sexpr(e[2][1]))
-    if head == "cabs" and len(e) == 3 and isinstance(e[1], list) and len(e[1]) == 1:
-        return cg.GAbs(e[1][0], cg_from_sexpr(e[2]))
-    raise ParseError(f"bad term: {e!r}")
 
 
 def cg_program_to_sexpr(p):
@@ -417,22 +196,48 @@ def cg_program_from_sexpr(e):
 
 
 def render(e, indent=0, width=100):
-    """Pretty-render a nested-list s-expression."""
-    flat = _flat(e)
-    if len(flat) + indent <= width:
-        return flat
-    if isinstance(e, str):
-        return e
+    """Pretty-render a nested-list s-expression.
+
+    A list that fits in the width left on its line is printed on one line;
+    otherwise its head stays on the first line and every other item is
+    rendered on a line of its own, indented two more.
+    """
+    out = []
+    _render(e, indent, width, out)
+    return "".join(out)
+
+
+def _render(e, indent, width, out):
+    flat = _one_line(e, width - indent)
+    if flat is not None or isinstance(e, str):
+        out.append(e if flat is None else flat)
+        return
     head = e[0] if e and isinstance(e[0], str) else None
-    pad = " " * (indent + 2)
-    if head is not None:
-        parts = [render(x, indent + 2, width) for x in e[1:]]
-        return "(" + head + "\n" + "\n".join(pad + p for p in parts) + ")"
-    parts = [render(x, indent + 2, width) for x in e]
-    return "(\n" + "\n".join(pad + p for p in parts) + ")"
+    items = e[1:] if head is not None else e
+    out.append("(" + (head or "") + ("" if items else "\n"))
+    pad = "\n" + " " * (indent + 2)
+    for x in items:
+        out.append(pad)
+        _render(x, indent + 2, width, out)
+    out.append(")")
 
 
-def _flat(e):
-    if isinstance(e, str):
-        return e
-    return "(" + " ".join(_flat(x) for x in e) + ")"
+def _one_line(e, room):
+    """The one-line form of e if it takes at most ``room`` characters, else
+    None; stops reading e as soon as it overflows."""
+    out = []
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.append(")")
+            for i in range(len(x) - 1, -1, -1):
+                todo.append(x[i])
+                if i:
+                    todo.append(" ")
+            x = "("
+        room -= len(x)
+        if room < 0:
+            return None
+        out.append(x)
+    return "".join(out)

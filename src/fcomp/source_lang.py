@@ -1,18 +1,20 @@
 """The PCF-like source language (also the target of the CPS pass).
 
-Syntax, simple types with unification-based inference, capture-avoiding
-substitution, alpha-equivalence via de Bruijn conversion, and small-step
-call-by-value evaluation.
+Syntax, simple types with unification-based inference and small-step
+call-by-value evaluation.  Binding structure (free variables, substitution,
+alpha-equivalence, s-expressions) comes from the term core in ``term``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import TypeMismatch, UnboundVariable, UnresolvedTypeVariable
-from .fresh import fresh_name
+from .term import EvalOutcome, Term, eval_lets, node, subst as subst_apply
+
+# The binding operations of source terms, under the names callers use.
+from .term import Outcome, all_names, alpha_eq, free_vars  # noqa: F401
 from .unify import TypeExpr, Unifier, UnifyError, has_tvar
 
 
@@ -69,67 +71,70 @@ UNIT = TUnit()
 # Terms
 
 
-class SrcTerm:
+class SrcTerm(Term):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node("(nat #n)")
 class NatLit(SrcTerm):
     n: int
 
 
-@dataclass(frozen=True)
+@node("(var name)", var=True)
 class Var(SrcTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@node("(pred arg)")
 class Pred(SrcTerm):
     arg: SrcTerm
 
 
-@dataclass(frozen=True)
+@node("(plus l r)")
 class Plus(SrcTerm):
     l: SrcTerm
     r: SrcTerm
 
 
-@dataclass(frozen=True)
+@node("(ifz cond zbranch nzbranch)")
 class Ifz(SrcTerm):
     cond: SrcTerm
     zbranch: SrcTerm
     nzbranch: SrcTerm
 
 
-@dataclass(frozen=True)
+@node("unit")
 class UnitLit(SrcTerm):
     pass
 
 
-@dataclass(frozen=True)
+@node("(pair l r)")
 class Pair(SrcTerm):
     l: SrcTerm
     r: SrcTerm
 
 
-@dataclass(frozen=True)
+@node("(fst arg)")
 class Fst(SrcTerm):
     arg: SrcTerm
 
 
-@dataclass(frozen=True)
+@node("(snd arg)")
 class Snd(SrcTerm):
     arg: SrcTerm
 
 
-@dataclass(frozen=True)
+@node("(let bound (binder body))", binds={"body": ("binder",)})
 class Let(SrcTerm):
     bound: SrcTerm
     binder: str
     body: SrcTerm
 
 
-@dataclass(frozen=True)
+@node(
+    "(fix (selfbinder argbinder ?argty ?retty) body)",
+    binds={"body": ("selfbinder", "argbinder")},
+)
 class Fix(SrcTerm):
     selfbinder: str
     argbinder: str
@@ -138,7 +143,7 @@ class Fix(SrcTerm):
     body: SrcTerm
 
 
-@dataclass(frozen=True)
+@node("(app fn arg)")
 class App(SrcTerm):
     fn: SrcTerm
     arg: SrcTerm
@@ -153,143 +158,6 @@ def is_value(t: SrcTerm) -> bool:
     if isinstance(t, Pair):
         return is_value(t.l) and is_value(t.r)
     return False
-
-
-def free_vars(t: SrcTerm) -> frozenset:
-    # Cached on the (immutable) node: substitution shares untouched subtrees,
-    # so the cache makes repeated stepping roughly linear in the redex path.
-    fv = getattr(t, "_fv", None)
-    if fv is not None:
-        return fv
-    if isinstance(t, Var):
-        fv = frozenset((t.name,))
-    elif isinstance(t, (NatLit, UnitLit)):
-        fv = frozenset()
-    elif isinstance(t, (Pred, Fst, Snd)):
-        fv = free_vars(t.arg)
-    elif isinstance(t, (Plus, Pair)):
-        fv = free_vars(t.l) | free_vars(t.r)
-    elif isinstance(t, Ifz):
-        fv = free_vars(t.cond) | free_vars(t.zbranch) | free_vars(t.nzbranch)
-    elif isinstance(t, Let):
-        fv = free_vars(t.bound) | (free_vars(t.body) - {t.binder})
-    elif isinstance(t, Fix):
-        fv = free_vars(t.body) - {t.selfbinder, t.argbinder}
-    elif isinstance(t, App):
-        fv = free_vars(t.fn) | free_vars(t.arg)
-    else:
-        raise TypeError(t)
-    object.__setattr__(t, "_fv", fv)
-    return fv
-
-
-def all_names(t: SrcTerm) -> set:
-    """Every identifier occurring in t, bound or free (for fresh supplies)."""
-    out = set()
-
-    def walk(t):
-        if isinstance(t, Var):
-            out.add(t.name)
-        elif isinstance(t, (Pred, Fst, Snd)):
-            walk(t.arg)
-        elif isinstance(t, (Plus, Pair)):
-            walk(t.l)
-            walk(t.r)
-        elif isinstance(t, Ifz):
-            walk(t.cond)
-            walk(t.zbranch)
-            walk(t.nzbranch)
-        elif isinstance(t, Let):
-            out.add(t.binder)
-            walk(t.bound)
-            walk(t.body)
-        elif isinstance(t, Fix):
-            out.add(t.selfbinder)
-            out.add(t.argbinder)
-            walk(t.body)
-        elif isinstance(t, App):
-            walk(t.fn)
-            walk(t.arg)
-
-    walk(t)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-
-def subst_apply(s, t: SrcTerm) -> SrcTerm:
-    """Capture-avoiding simultaneous substitution.
-
-    ``s`` maps identifiers to terms.  Bound variables are renamed only when
-    they would capture a free variable of a substituted term.
-    """
-    s = dict(s)
-    if not s:
-        return t
-    fvs = {x: free_vars(v) for x, v in s.items()}
-    return _subst(s, fvs, t)
-
-
-def _subst(s, fvs, t):
-    if free_vars(t).isdisjoint(s):
-        return t
-    if isinstance(t, Var):
-        return s.get(t.name, t)
-    if isinstance(t, (NatLit, UnitLit)):
-        return t
-    if isinstance(t, Pred):
-        return Pred(_subst(s, fvs, t.arg))
-    if isinstance(t, Fst):
-        return Fst(_subst(s, fvs, t.arg))
-    if isinstance(t, Snd):
-        return Snd(_subst(s, fvs, t.arg))
-    if isinstance(t, Plus):
-        return Plus(_subst(s, fvs, t.l), _subst(s, fvs, t.r))
-    if isinstance(t, Pair):
-        return Pair(_subst(s, fvs, t.l), _subst(s, fvs, t.r))
-    if isinstance(t, Ifz):
-        return Ifz(
-            _subst(s, fvs, t.cond),
-            _subst(s, fvs, t.zbranch),
-            _subst(s, fvs, t.nzbranch),
-        )
-    if isinstance(t, App):
-        return App(_subst(s, fvs, t.fn), _subst(s, fvs, t.arg))
-    if isinstance(t, Let):
-        bound = _subst(s, fvs, t.bound)
-        (binder,), body = _under_binders(s, fvs, (t.binder,), t.body)
-        return Let(bound, binder, body)
-    if isinstance(t, Fix):
-        (sb, ab), body = _under_binders(s, fvs, (t.selfbinder, t.argbinder), t.body)
-        return Fix(sb, ab, t.argty, t.retty, body)
-    raise TypeError(t)
-
-
-def _under_binders(s, fvs, binders, body):
-    """Descend under binders, dropping shadowed entries and renaming on capture."""
-    s2 = {x: v for x, v in s.items() if x not in binders}
-    if not s2:
-        return binders, body
-    relevant_fv = set()
-    for x in s2:
-        relevant_fv |= fvs[x]
-    renames = {}
-    avoid = relevant_fv | free_vars(body) | set(s2) | set(binders)
-    new_binders = []
-    for b in binders:
-        if b in relevant_fv:
-            nb = fresh_name(b, avoid)
-            avoid.add(nb)
-            renames[b] = Var(nb)
-            new_binders.append(nb)
-        else:
-            new_binders.append(b)
-    if renames:
-        body = subst_apply(renames, body)
-    fvs2 = {x: fvs[x] for x in s2}
-    return tuple(new_binders), _subst(s2, fvs2, body)
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +266,6 @@ def infer_src(ctx, t, u: Unifier):
 # Evaluation
 
 
-class Outcome(enum.Enum):
-    VALUE = "Value"
-    STUCK = "Stuck"
-    OUT_OF_FUEL = "OutOfFuel"
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    kind: Outcome
-    value: object
-    steps: int
-
-
 def step_src(t: SrcTerm):
     """One step of left-to-right call-by-value reduction, or None."""
     if is_value(t):
@@ -470,173 +325,5 @@ def step_src(t: SrcTerm):
 
 
 def eval_src(t: SrcTerm, fuel: int) -> EvalOutcome:
-    """Iterate the step relation to a value, stuck term, or fuel exhaustion.
-
-    Maintains the enclosing let-frames on an explicit stack so that each step
-    costs time near the redex rather than a walk from the root; the step
-    counts agree exactly with iterating step_src.
-    """
-    steps = 0
-    stack = []
-
-    def plug(u):
-        for binder, body in reversed(stack):
-            u = Let(u, binder, body)
-        return u
-
-    u = t
-    while True:
-        while isinstance(u, Let):
-            stack.append((u.binder, u.body))
-            u = u.bound
-        if is_value(u):
-            if not stack:
-                return EvalOutcome(Outcome.VALUE, u, steps)
-            if steps >= fuel:
-                return EvalOutcome(Outcome.OUT_OF_FUEL, plug(u), steps)
-            binder, body = stack.pop()
-            u = subst_apply({binder: u}, body)
-            steps += 1
-            continue
-        if steps >= fuel:
-            return EvalOutcome(Outcome.OUT_OF_FUEL, plug(u), steps)
-        nxt = step_src(u)
-        if nxt is None:
-            return EvalOutcome(Outcome.STUCK, plug(u), steps)
-        u = nxt
-        steps += 1
-
-
-# ---------------------------------------------------------------------------
-# de Bruijn conversion and alpha-equivalence
-
-
-class DbTerm:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Idx(DbTerm):
-    i: int
-
-
-@dataclass(frozen=True)
-class DNat(DbTerm):
-    n: int
-
-
-@dataclass(frozen=True)
-class DUnit(DbTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class DPred(DbTerm):
-    arg: DbTerm
-
-
-@dataclass(frozen=True)
-class DPlus(DbTerm):
-    l: DbTerm
-    r: DbTerm
-
-
-@dataclass(frozen=True)
-class DIfz(DbTerm):
-    cond: DbTerm
-    zbranch: DbTerm
-    nzbranch: DbTerm
-
-
-@dataclass(frozen=True)
-class DPair(DbTerm):
-    l: DbTerm
-    r: DbTerm
-
-
-@dataclass(frozen=True)
-class DFst(DbTerm):
-    arg: DbTerm
-
-
-@dataclass(frozen=True)
-class DSnd(DbTerm):
-    arg: DbTerm
-
-
-@dataclass(frozen=True)
-class DLet(DbTerm):
-    bound: DbTerm
-    body: DbTerm
-
-
-@dataclass(frozen=True)
-class DAbs(DbTerm):
-    body: DbTerm
-
-
-@dataclass(frozen=True)
-class DFix(DbTerm):
-    """A fix whose self binder is used; the body sits under two indices."""
-
-    body: DbTerm
-
-
-@dataclass(frozen=True)
-class DApp(DbTerm):
-    l: DbTerm
-    r: DbTerm
-
-
-def to_debruijn(t: SrcTerm, env=()) -> DbTerm:
-    """Convert to nameless form; env lists enclosing names, innermost first.
-
-    A fix whose self binder does not occur in its body converts to a plain
-    one-binder DAbs, so terms written with the fun-sugar match the classic
-    lambda encoding; a genuinely recursive fix converts to DFix with the
-    self binder at the outer index.
-    """
-    return _to_db(t, list(env))
-
-
-def _to_db(t, stack):
-    if isinstance(t, Var):
-        try:
-            return Idx(stack.index(t.name) + 1)
-        except ValueError:
-            raise UnboundVariable(t.name)
-    if isinstance(t, NatLit):
-        return DNat(t.n)
-    if isinstance(t, UnitLit):
-        return DUnit()
-    if isinstance(t, Pred):
-        return DPred(_to_db(t.arg, stack))
-    if isinstance(t, Fst):
-        return DFst(_to_db(t.arg, stack))
-    if isinstance(t, Snd):
-        return DSnd(_to_db(t.arg, stack))
-    if isinstance(t, Plus):
-        return DPlus(_to_db(t.l, stack), _to_db(t.r, stack))
-    if isinstance(t, Pair):
-        return DPair(_to_db(t.l, stack), _to_db(t.r, stack))
-    if isinstance(t, Ifz):
-        return DIfz(
-            _to_db(t.cond, stack), _to_db(t.zbranch, stack), _to_db(t.nzbranch, stack)
-        )
-    if isinstance(t, App):
-        return DApp(_to_db(t.fn, stack), _to_db(t.arg, stack))
-    if isinstance(t, Let):
-        return DLet(_to_db(t.bound, stack), _to_db(t.body, [t.binder] + stack))
-    if isinstance(t, Fix):
-        if t.selfbinder in free_vars(t.body) and t.selfbinder != t.argbinder:
-            return DFix(_to_db(t.body, [t.argbinder, t.selfbinder] + stack))
-        return DAbs(_to_db(t.body, [t.argbinder] + stack))
-    raise TypeError(t)
-
-
-def alpha_eq(a: SrcTerm, b: SrcTerm) -> bool:
-    fa, fb = free_vars(a), free_vars(b)
-    if fa != fb:
-        return False
-    env = tuple(sorted(fa))
-    return to_debruijn(a, env) == to_debruijn(b, env)
+    """Iterate step_src to a value, stuck term, or fuel exhaustion."""
+    return eval_lets(Let, is_value, step_src, t, fuel)

@@ -5,9 +5,11 @@ import pytest
 from fcomp.cc_lang import (
     CAbs, CApp, CClos, CFst, CLet, CNat, COpen, CPair, CPlus, CSnd,
     CVar, CC_NAT, CC_UNITVAL, ClosArrow,
-    cc_alpha_eq, cc_free_vars, cc_is_value, cc_subst, eval_cc, step_cc,
-    typecheck_cc,
+    cc_is_value, eval_cc, step_cc, typecheck_cc,
 )
+from fcomp.term import alpha_eq as cc_alpha_eq
+from fcomp.term import free_vars as cc_free_vars
+from fcomp.term import subst as cc_subst
 from fcomp.cc_pass import cc_program, cc_transform, combine, fvars, map_env, map_var
 from fcomp.errors import (
     NonEmptyClosureContext, RigidEscape, TypeCheckError, UntrackedVariable,

@@ -4,11 +4,12 @@ import pytest
 
 from fcomp.cc_lang import (
     CAbs, CApp, CClos, CFst, CLet, CNat, CPair, CPlus, CSnd, CVar,
-    CC_NAT, CC_UNITVAL, COpen, cc_free_vars, eval_hoisted, typecheck_hoisted,
+    CC_NAT, CC_UNITVAL, COpen, eval_hoisted, typecheck_hoisted,
 )
 from fcomp.cc_pass import cc_program
 from fcomp.errors import HoistEscape, UnsupportedShape
 from fcomp.hoist_pass import HoistedBody, abstract_fn, check_abs_flat, hcombine, hoist
+from fcomp.term import free_vars as cc_free_vars
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
 

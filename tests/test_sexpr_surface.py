@@ -4,7 +4,7 @@ import pytest
 
 from fcomp import sexpr
 from fcomp.errors import ParseError
-from fcomp.pipeline import Stage, compile_stages
+from fcomp.pipeline import Stage, compile_stages, parse_stage_artifact
 from fcomp.source_lang import (
     NAT, App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, TArrow,
     TProd, UNIT, UnitLit, Var,
@@ -136,3 +136,33 @@ class TestSexpr:
         with pytest.raises(ParseError) as ei:
             sexpr.read_sexpr("(nat\n1))")
         assert ei.value.line >= 1
+
+
+class TestSexprNumerals:
+    """Numerals are read in one place: a non-numeral or a negative number is
+    a ParseError, never a ValueError or a negative term."""
+
+    @pytest.mark.parametrize("stage, text", [
+        (Stage.SOURCE, "(nat abc)"),
+        (Stage.CPS, "(plus (nat 1) (nat 1x))"),
+        (Stage.CC, "(nat abc)"),
+        (Stage.CG, "(letfun () () (load (loc 0) x))"),
+        (Stage.CG, "(letfun () () (loc zero))"),
+        (Stage.CG, "(letfun () () (move (var p) one (nat 1)))"),
+        (Stage.SOURCE, "(nat -3)"),
+        (Stage.CC, "(pred (nat -1))"),
+        (Stage.CG, "(letfun () () (alloc -1))"),
+        (Stage.CG, "(letfun () () (load (var p) -1))"),
+        (Stage.CG, "(letfun () () (nat (3)))"),
+    ])
+    def test_bad_numerals_are_parse_errors(self, stage, text):
+        with pytest.raises(ParseError):
+            parse_stage_artifact(stage, text)
+
+    def test_good_numerals_read_back(self):
+        art = parse_stage_artifact(
+            Stage.CG, "(letfun () () (let (alloc 2) (p (load (var p) 1))))"
+        )
+        assert sexpr.cg_program_to_sexpr(art.payload)[3] == [
+            "let", ["alloc", "2"], ["p", ["load", ["var", "p"], "1"]]
+        ]

@@ -190,6 +190,11 @@ class HoistedProgram:
     body: CCTerm
 
 
+def closure_call(m: CCTerm, f: str, e: str, arg: CCTerm) -> COpen:
+    """open M as f,e in f (M, (arg, e)): the call of closure M on arg."""
+    return COpen(m, f, e, CApp(CVar(f), CPair(m, CPair(arg, CVar(e)))))
+
+
 def closure_call_arg(t: COpen):
     """M2 when t is the closure call open M as f,e in f (M, (M2, e)), the
     only shape of open that hoisting and code generation accept; else None."""

@@ -5,13 +5,18 @@ parameter packing (self-closure, argument, environment), paired with an
 environment tuple holding the images of the function's free variables.
 Applications open the closure and call the code on the triple
 (closure, argument, environment).
+
+The pass keeps one scope, the map from source variables to target terms,
+shared down the recursion (fvars does the same with its bound set): each
+binder extends it for its body and the outer entry is restored afterwards,
+so memory stays linear in the depth of the term.
 """
 
 from __future__ import annotations
 
 from .cc_lang import (
-    CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred, CSnd,
-    CVar, CCTerm, CC_UNITVAL,
+    CAbs, CClos, CFst, CIfz, CLet, CNat, CPair, CPlus, CPred, CSnd, CVar, CCTerm,
+    CC_UNITVAL, closure_call,
 )
 from .errors import MissingMapping, UntrackedVariable
 from .fresh import FreshSupply
@@ -27,10 +32,11 @@ def combine(a, b):
 
 
 def fvars(t: SrcTerm, candidates, bound=frozenset()):
-    """The candidates occurring free in t, duplicate-free, in combine order."""
+    """The candidates occurring free in t, duplicate-free, in combine order;
+    candidates is any container of names, e.g. cc_transform's scope."""
     bound = set(bound)
 
-    def go(t, bound):
+    def go(t):
         if isinstance(t, Var):
             if t.name in bound:
                 return []
@@ -39,15 +45,17 @@ def fvars(t: SrcTerm, candidates, bound=frozenset()):
             raise UntrackedVariable(t.name)
         out = []
         for _, c, scope in children(t):
-            out = combine(out, go(c, bound | set(scope) if scope else bound))
+            added = [b for b in scope if b not in bound]
+            bound.update(added)
+            out = combine(out, go(c))
+            bound.difference_update(added)
         return out
 
-    return go(t, bound)
+    return go(t)
 
 
 def map_env(fvs, rho) -> CCTerm:
     """The environment tuple (rho(x1), (rho(x2), ... unit))."""
-    rho = dict(rho)
     out = CC_UNITVAL
     for x in reversed(fvs):
         if x not in rho:
@@ -70,98 +78,84 @@ def map_var(fvs):
     return at
 
 
-def cc_transform(rho, varlist, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
+def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
     """Closure-convert t; rho maps source variables to target terms.
 
-    varlist lists the variables t may mention free (the candidates handed
-    to fvars); every bound variable of the output is freshened against
-    dom(rho).
+    dom(rho) is the set of variables t may mention free, and the candidates
+    handed to fvars.  rho is copied once here; the copy is the one scope
+    shared down the recursion: a Let maps its binder for its body and then
+    restores the outer image, and a Fix body gets a new scope built from
+    the closure's environment.  The caller's rho is never changed.
     """
-    rho = dict(rho)
-    varlist = list(varlist)
 
-    if isinstance(t, NatLit):
-        return CNat(t.n)
-    if isinstance(t, UnitLit):
-        return CC_UNITVAL
-    if isinstance(t, Var):
-        if t.name not in rho:
-            raise MissingMapping(t.name)
-        return rho[t.name]
-    if isinstance(t, Pred):
-        return CPred(cc_transform(rho, varlist, t.arg, fresh))
-    if isinstance(t, Fst):
-        return CFst(cc_transform(rho, varlist, t.arg, fresh))
-    if isinstance(t, Snd):
-        return CSnd(cc_transform(rho, varlist, t.arg, fresh))
-    if isinstance(t, Plus):
-        return CPlus(
-            cc_transform(rho, varlist, t.l, fresh),
-            cc_transform(rho, varlist, t.r, fresh),
-        )
-    if isinstance(t, Pair):
-        return CPair(
-            cc_transform(rho, varlist, t.l, fresh),
-            cc_transform(rho, varlist, t.r, fresh),
-        )
-    if isinstance(t, Ifz):
-        return CIfz(
-            cc_transform(rho, varlist, t.cond, fresh),
-            cc_transform(rho, varlist, t.zbranch, fresh),
-            cc_transform(rho, varlist, t.nzbranch, fresh),
-        )
-    if isinstance(t, Let):
-        bound = cc_transform(rho, varlist, t.bound, fresh)
-        y = fresh.fresh("x")
-        rho2 = dict(rho)
-        rho2[t.binder] = CVar(y)
-        body = cc_transform(rho2, combine([t.binder], varlist), t.body, fresh)
-        return CLet(bound, y, body)
-    if isinstance(t, Fix):
-        fvs = fvars(t, varlist)
-        env = map_env(fvs, rho)
-        p = fresh.fresh("p")
-        g = fresh.fresh("g")
-        y = fresh.fresh("x")
-        e = fresh.fresh("e")
-        rho2 = dict(map_var(fvs)(CVar(e)))
-        rho2[t.selfbinder] = CVar(g)
-        rho2[t.argbinder] = CVar(y)
-        body = cc_transform(
-            rho2, combine([t.argbinder, t.selfbinder], fvs), t.body, fresh
-        )
-        code = CAbs(
-            p,
-            CLet(
-                CFst(CVar(p)),
-                g,
+    def go(rho, t):
+        if isinstance(t, NatLit):
+            return CNat(t.n)
+        if isinstance(t, UnitLit):
+            return CC_UNITVAL
+        if isinstance(t, Var):
+            if t.name not in rho:
+                raise MissingMapping(t.name)
+            return rho[t.name]
+        if isinstance(t, Pred):
+            return CPred(go(rho, t.arg))
+        if isinstance(t, Fst):
+            return CFst(go(rho, t.arg))
+        if isinstance(t, Snd):
+            return CSnd(go(rho, t.arg))
+        if isinstance(t, Plus):
+            return CPlus(go(rho, t.l), go(rho, t.r))
+        if isinstance(t, Pair):
+            return CPair(go(rho, t.l), go(rho, t.r))
+        if isinstance(t, Ifz):
+            return CIfz(go(rho, t.cond), go(rho, t.zbranch), go(rho, t.nzbranch))
+        if isinstance(t, Let):
+            bound = go(rho, t.bound)
+            y = fresh.fresh("x")
+            outer = rho.get(t.binder)
+            rho[t.binder] = CVar(y)
+            body = go(rho, t.body)
+            if outer is None:
+                del rho[t.binder]
+            else:
+                rho[t.binder] = outer
+            return CLet(bound, y, body)
+        if isinstance(t, Fix):
+            fvs = fvars(t, rho)
+            env = map_env(fvs, rho)
+            p = fresh.fresh("p")
+            g = fresh.fresh("g")
+            y = fresh.fresh("x")
+            e = fresh.fresh("e")
+            scope = dict(map_var(fvs)(CVar(e)))
+            scope[t.selfbinder] = CVar(g)
+            scope[t.argbinder] = CVar(y)
+            body = go(scope, t.body)
+            code = CAbs(
+                p,
                 CLet(
-                    CFst(CSnd(CVar(p))),
-                    y,
-                    CLet(CSnd(CSnd(CVar(p))), e, body),
+                    CFst(CVar(p)),
+                    g,
+                    CLet(
+                        CFst(CSnd(CVar(p))),
+                        y,
+                        CLet(CSnd(CSnd(CVar(p))), e, body),
+                    ),
                 ),
-            ),
-        )
-        return CClos(code, env)
-    if isinstance(t, App):
-        fn = cc_transform(rho, varlist, t.fn, fresh)
-        arg = cc_transform(rho, varlist, t.arg, fresh)
-        g = fresh.fresh("g")
-        xf = fresh.fresh("f")
-        xe = fresh.fresh("e")
-        return CLet(
-            fn,
-            g,
-            COpen(
-                CVar(g),
-                xf,
-                xe,
-                CApp(CVar(xf), CPair(CVar(g), CPair(arg, CVar(xe)))),
-            ),
-        )
-    raise TypeError(t)
+            )
+            return CClos(code, env)
+        if isinstance(t, App):
+            fn = go(rho, t.fn)
+            arg = go(rho, t.arg)
+            g = fresh.fresh("g")
+            xf = fresh.fresh("f")
+            xe = fresh.fresh("e")
+            return CLet(fn, g, closure_call(CVar(g), xf, xe, arg))
+        raise TypeError(t)
+
+    return go(dict(rho), t)
 
 
 def cc_program(t: SrcTerm) -> CCTerm:
     fresh = FreshSupply(avoid=all_names(t))
-    return cc_transform({}, [], t, fresh)
+    return cc_transform({}, t, fresh)

@@ -13,7 +13,8 @@ from typing import Tuple
 
 from .cc_lang import (
     CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred,
-    CSnd, CUnit, CVar, CCTerm, CC_UNITVAL, HoistedProgram, closure_call_arg,
+    CSnd, CUnit, CVar, CCTerm, CC_UNITVAL, HoistedProgram, closure_call,
+    closure_call_arg,
 )
 from .errors import HoistEscape, UnsupportedShape
 from .fresh import FreshSupply
@@ -65,8 +66,11 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
     if fresh is None:
         fresh = FreshSupply(avoid=all_names(t))
     funcs = []
+    # One scope for the whole walk: a binder is added for its body only if
+    # it is not in scope already, and removed again only if added here.
+    bound = set(bound)
 
-    def go(t, bound) -> HoistedBody:
+    def go(t) -> HoistedBody:
         if isinstance(t, (CNat, CUnit)):
             return HoistedBody((), t)
         if isinstance(t, CVar):
@@ -76,13 +80,17 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
         if isinstance(t, (CPred, CFst, CSnd, CPlus, CPair, CApp, CClos, CIfz)):
             parts = []
             for _, c, _ in children(t):
-                parts.append(go(c, bound))
+                parts.append(go(c))
             return hcombine(parts, type(t))
         if isinstance(t, CLet):
-            p1 = go(t.bound, bound)
+            p1 = go(t.bound)
             mark = len(funcs)
-            p2 = go(t.body, bound | {t.binder})
-            _check_escape(t.binder, funcs[mark:])
+            added = t.binder not in bound
+            bound.add(t.binder)
+            p2 = go(t.body)
+            if added:
+                bound.remove(t.binder)
+            _check_escape(t.binder, funcs, mark)
             return hcombine([p1, p2], lambda a, b: CLet(a, t.binder, b))
         if isinstance(t, COpen):
             m2 = closure_call_arg(t)
@@ -91,42 +99,38 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
                     "open not in closure-application form cannot be hoisted"
                 )
             mark = len(funcs)
-            p1 = go(t.scrutinee, bound)
-            p2 = go(m2, bound)
-            _check_escape(t.fbinder, funcs[mark:])
-            _check_escape(t.ebinder, funcs[mark:])
+            p1 = go(t.scrutinee)
+            p2 = go(m2)
+            _check_escape(t.fbinder, funcs, mark)
+            _check_escape(t.ebinder, funcs, mark)
             return hcombine(
-                [p1, p2],
-                lambda m1, m2: COpen(
-                    m1,
-                    t.fbinder,
-                    t.ebinder,
-                    CApp(
-                        CVar(t.fbinder),
-                        CPair(m1, CPair(m2, CVar(t.ebinder))),
-                    ),
-                ),
+                [p1, p2], lambda m1, m2: closure_call(m1, t.fbinder, t.ebinder, m2)
             )
         if isinstance(t, CAbs):
             mark = len(funcs)
-            inner = go(t.body, bound | {t.binder})
-            _check_escape(t.binder, funcs[mark:])
+            added = t.binder not in bound
+            bound.add(t.binder)
+            inner = go(t.body)
+            if added:
+                bound.remove(t.binder)
+            _check_escape(t.binder, funcs, mark)
             closed_fn, tup = abstract_fn(t.binder, inner)
             g = fresh.fresh("g")
             funcs.append((g, closed_fn))
             return HoistedBody(inner.binders + (g,), CApp(CVar(g), tup))
         raise TypeError(t)
 
-    result = go(t, frozenset(bound))
+    result = go(t)
     fn_map = dict(funcs)
     return HoistedProgram(
         result.binders, tuple(fn_map[b] for b in result.binders), result.term
     )
 
 
-def _check_escape(binder, extracted):
-    for _, fn in extracted:
-        if binder in free_vars(fn):
+def _check_escape(binder, funcs, mark):
+    """Raise if binder is free in a function extracted since funcs[mark]."""
+    for i in range(mark, len(funcs)):
+        if binder in free_vars(funcs[i][1]):
             raise HoistEscape(
                 f"binder {binder} occurs free in an extracted function"
             )

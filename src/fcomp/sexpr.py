@@ -140,6 +140,13 @@ cg_from_sexpr = functools.partial(term.from_sexpr, cg.CgTerm)
 # Programs
 
 
+def _binders(e, form):
+    """A program's binder list: a list of atoms, each read as one name."""
+    if not isinstance(e, list) or not all(isinstance(b, str) for b in e):
+        raise ParseError(f"{form} binders must be a list of names: {e!r}")
+    return tuple(e)
+
+
 def hoisted_to_sexpr(p):
     return [
         "htm",
@@ -159,7 +166,7 @@ def hoisted_from_sexpr(e):
         and e[2][0] == "habs"
     ):
         functions = tuple(cc_from_sexpr(f) for f in e[1])
-        binders = tuple(e[2][1])
+        binders = _binders(e[2][1], "habs")
         if len(binders) != len(functions):
             raise ParseError("htm binder/function arity mismatch")
         return cc.HoistedProgram(binders, functions, cc_from_sexpr(e[2][2]))
@@ -183,7 +190,7 @@ def cg_program_from_sexpr(e):
         and isinstance(e[1], list)
         and isinstance(e[2], list)
     ):
-        binders = tuple(e[1])
+        binders = _binders(e[1], "letfun")
         functions = tuple(cg_from_sexpr(f) for f in e[2])
         if len(binders) != len(functions):
             raise ParseError("letfun binder/function arity mismatch")

@@ -12,10 +12,13 @@ from fcomp.term import free_vars as cc_free_vars
 from fcomp.term import subst as cc_subst
 from fcomp.cc_pass import cc_program, cc_transform, combine, fvars, map_env, map_var
 from fcomp.errors import (
-    NonEmptyClosureContext, RigidEscape, TypeCheckError, UntrackedVariable,
+    MissingMapping, NonEmptyClosureContext, RigidEscape, TypeCheckError,
+    UntrackedVariable,
 )
 from fcomp.fresh import FreshSupply
-from fcomp.source_lang import NAT, Fix, NatLit, Outcome, Plus, Var, eval_src
+from fcomp.source_lang import (
+    NAT, App, Fix, Let, NatLit, Outcome, Plus, Var, eval_src,
+)
 from fcomp.surface import parse_source
 
 
@@ -69,7 +72,7 @@ class TestTransform:
     def test_fix_becomes_closure_with_env(self):
         # A function with one free variable captures it in the environment.
         t = Fix("f", "x", NAT, NAT, Plus(Var("x"), Var("y")))
-        got = cc_transform({"y": CNat(3)}, ["y"], t, FreshSupply())
+        got = cc_transform({"y": CNat(3)}, t, FreshSupply())
         assert isinstance(got, CClos)
         assert got.env == CPair(CNat(3), CC_UNITVAL)
         assert cc_free_vars(got.code) == frozenset()
@@ -119,6 +122,40 @@ class TestTransform:
             "let a = 2 in let b = 3 in (fix f (x:nat):nat. x + a + b) (a + b)"
         )
         assert _closure_code_closed(cc_program(t))
+
+
+class TestScope:
+    """cc_transform copies rho once and restores it after every binder."""
+
+    def test_caller_rho_is_unchanged_after_success(self):
+        rho = {"y": CNat(3), "w": CNat(4)}
+        t = Let(NatLit(1), "y", Let(Var("w"), "v", Plus(Var("y"), Var("v"))))
+        cc_transform(rho, t, FreshSupply())
+        assert rho == {"y": CNat(3), "w": CNat(4)}
+
+    def test_caller_rho_is_unchanged_after_missing_mapping(self):
+        rho = {"y": CNat(3)}
+        t = Let(NatLit(1), "y", Let(NatLit(2), "v", Var("zz")))
+        with pytest.raises(MissingMapping):
+            cc_transform(rho, t, FreshSupply())
+        assert rho == {"y": CNat(3)}
+
+    def test_shadowing_let_restores_the_outer_mapping(self):
+        t = Plus(Let(NatLit(5), "x", Var("x")), Var("x"))
+        got = cc_transform({"x": CNat(1)}, t, FreshSupply())
+        assert isinstance(got.l, CLet) and got.l.body == CVar(got.l.binder)
+        assert got.r == CNat(1)
+
+    def test_closure_after_shadowing_let_captures_the_outer_mapping(self):
+        fn = Fix("f", "a", NAT, NAT, Plus(Var("a"), Var("x")))
+        t = Plus(Let(NatLit(5), "x", Var("x")), App(fn, NatLit(0)))
+        got = cc_transform({"x": CNat(1)}, t, FreshSupply())
+        assert got.r.bound.env == CPair(CNat(1), CC_UNITVAL)
+
+    def test_let_binder_is_out_of_scope_after_its_body(self):
+        t = Plus(Let(NatLit(5), "z", Var("z")), Var("z"))
+        with pytest.raises(MissingMapping):
+            cc_transform({}, t, FreshSupply())
 
 
 class TestTyping:

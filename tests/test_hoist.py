@@ -122,3 +122,36 @@ class TestHoist:
         )
         with pytest.raises((HoistEscape, UnsupportedShape)):
             hoist(bad)
+
+
+class TestScope:
+    """hoist keeps one bound set: a binder is added for its body only if it
+    was not in scope, and removed only if it was added there."""
+
+    def test_caller_bound_is_unchanged_after_success(self):
+        bound = {"x"}
+        hoist(CLet(CNat(1), "y", CPlus(CVar("x"), CVar("y"))), bound)
+        assert bound == {"x"}
+
+    def test_caller_bound_is_unchanged_after_unsupported_shape(self):
+        bound = {"x"}
+        with pytest.raises(UnsupportedShape):
+            hoist(CLet(CNat(1), "x", CLet(CNat(2), "y", CVar("zz"))), bound)
+        assert bound == {"x"}
+
+    def test_shadowing_binders_keep_the_outer_binding(self):
+        # The inner let and abstraction rebind x; x stays bound after them.
+        inner = CPlus(
+            CLet(CNat(2), "x", CVar("x")), CApp(CAbs("x", CVar("x")), CNat(3))
+        )
+        t = CLet(CNat(1), "x", CPlus(inner, CVar("x")))
+        p = hoist(t)
+        assert p.body.body.r == CVar("x")
+
+    @pytest.mark.parametrize("scoped", [
+        CLet(CNat(1), "y", CVar("y")),
+        CApp(CAbs("y", CVar("y")), CNat(1)),
+    ])
+    def test_binder_is_out_of_scope_after_its_body(self, scoped):
+        with pytest.raises(UnsupportedShape):
+            hoist(CPlus(scoped, CVar("y")))

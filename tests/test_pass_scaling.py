@@ -1,0 +1,53 @@
+"""Closure conversion and hoisting keep one scope down the recursion.
+
+Along a chain of n lets each pass must use memory linear in n: a scope
+that is copied at every binder keeps n copies of up to n entries alive at
+the deepest point.  Both passes must also stay at one Python frame per term
+level, so the deepest input they accept does not shrink.
+"""
+
+import tracemalloc
+
+from fcomp.cc_pass import cc_program
+from fcomp.cps import cps_program
+from fcomp.hoist_pass import hoist
+from fcomp.pipeline import Stage, compile_stages
+from fcomp.surface import parse_source
+
+PEAK_LIMIT = 4 * 1024 * 1024
+
+
+def _sum_chain(n):
+    return parse_source(" + ".join(["1"] * n))
+
+
+def _traced_peak(fn, arg):
+    tracemalloc.start()
+    try:
+        fn(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cc_and_hoist_peak_memory_is_linear():
+    cps_t = cps_program(_sum_chain(1000))
+    peak = _traced_peak(cc_program, cps_t)
+    assert peak < PEAK_LIMIT, f"cc_program peak {peak / 2**20:.1f} MB"
+    cc_t = cc_program(cps_t)
+    peak = _traced_peak(hoist, cc_t)
+    assert peak < PEAK_LIMIT, f"hoist peak {peak / 2**20:.1f} MB"
+
+
+def test_free_variables_of_a_long_function_body_in_linear_memory():
+    # fvars walks the whole body of every fix with its own bound set.
+    lets = ["let x0 = y in"] + [f"let x{i} = x{i - 1} + 1 in" for i in range(1, 1000)]
+    body = " ".join(lets) + " x999"
+    cps_t = cps_program(parse_source(f"(fun (y:nat). {body}) 1"))
+    peak = _traced_peak(cc_program, cps_t)
+    assert peak < PEAK_LIMIT, f"cc_program peak {peak / 2**20:.1f} MB"
+
+
+def test_deep_sum_chain_compiles_through_hoisting():
+    stages = compile_stages(_sum_chain(2000), stop_after=Stage.HOIST)
+    assert Stage.HOIST in stages

@@ -166,3 +166,30 @@ class TestSexprNumerals:
         assert sexpr.cg_program_to_sexpr(art.payload)[3] == [
             "let", ["alloc", "2"], ["p", ["load", ["var", "p"], "1"]]
         ]
+
+
+class TestSexprProgramBinders:
+    """The htm and letfun binder lists are lists of names; anything else is
+    a ParseError rather than a program that fails later."""
+
+    @pytest.mark.parametrize("stage, text", [
+        (Stage.HOIST, "(htm ((cabs (x) (var x))) (habs ((g)) (nat 1)))"),
+        (Stage.HOIST,
+         "(htm ((cabs (x) (var x)) (cabs (x) (var x))) (habs gg (nat 1)))"),
+        (Stage.CG, "(letfun ((g)) ((cabs (x) (var x))) (nat 1))"),
+        (Stage.CG,
+         "(letfun (f (g)) ((cabs (x) (var x)) (cabs (x) (var x))) (nat 1))"),
+    ])
+    def test_non_name_binders_are_parse_errors(self, stage, text):
+        with pytest.raises(ParseError):
+            parse_stage_artifact(stage, text)
+
+    def test_name_binders_read_back(self):
+        art = parse_stage_artifact(
+            Stage.HOIST, "(htm ((cabs (x) (var x))) (habs (g) (nat 1)))"
+        )
+        assert art.payload.binders == ("g",)
+        art = parse_stage_artifact(
+            Stage.CG, "(letfun (g) ((cabs (x) (var x))) (nat 1))"
+        )
+        assert art.payload.binders == ("g",)

@@ -4,11 +4,15 @@ Terms add abstractions without a self binder, closures and open; types
 distinguish the closure arrow (->) from the code arrow (=>) and include
 rigid skolem constants for the environment type hidden by open.  The module
 also hosts the hoisted-program form produced by the hoisting pass.
+
+The rules for the constructors shared with the source language are those of
+``source_lang``: typing extends its ``Inference`` with the cc types and the
+rules of code, closures and open, and evaluation uses its step relation and
+value test, which cover those three constructors.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -17,13 +21,10 @@ from .errors import (
     RigidEscape,
     TypeMismatch,
     UnboundVariable,
-    UnresolvedTypeVariable,
 )
-from .source_lang import ctx_lookup
-from .term import (
-    EvalOutcome, Term, eval_lets, free_vars, node, program_body, subst,
-)
-from .unify import TypeExpr, Unifier, UnifyError, has_tvar
+from .source_lang import Inference, is_value, step_src
+from .term import EvalOutcome, Term, eval_lets, free_vars, node, program_body
+from .unify import TypeExpr, UnifyError, _type_children
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +212,8 @@ def closure_call_arg(t: COpen):
     return None
 
 
-def cc_is_value(t: CCTerm) -> bool:
-    if isinstance(t, (CNat, CUnit, CAbs)):
-        return True
-    if isinstance(t, CPair):
-        return cc_is_value(t.l) and cc_is_value(t.r)
-    if isinstance(t, CClos):
-        return cc_is_value(t.code) and cc_is_value(t.env)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Typing
-
-
-_rigid_tags = itertools.count(1)
 
 
 def typecheck_cc(ctx, t: CCTerm) -> CCType:
@@ -235,92 +223,40 @@ def typecheck_cc(ctx, t: CCTerm) -> CCType:
     environment type per open.
     """
     inf = _Inference()
-    ty = inf.infer(list(ctx), t)
-    return inf.finish(ty)
+    return inf.finish(inf.infer(list(ctx), t))
 
 
 def _mentions_rigid(ty, tags):
     if isinstance(ty, Rigid):
         return ty.tag in tags
-    import dataclasses
-
-    return any(
-        _mentions_rigid(c, tags)
-        for f in dataclasses.fields(ty)
-        if isinstance(c := getattr(ty, f.name), TypeExpr)
-    )
+    return any(_mentions_rigid(c, tags) for c in _type_children(ty))
 
 
-class _Inference:
-    """Shared unification state for one typing run.
+class _Inference(Inference):
+    """The shared typing rules over the closure-converted types, and the
+    rules of code, closures and open.
 
     code_ctx lists the bindings closure code is still allowed to mention:
     empty for plain terms, the top-level function binders for hoisted
     programs (whose closures hold stub applications of those binders).
+    Rigid tags are numbered from 1 in each run.
     """
 
-    def __init__(self, code_ctx=()):
-        self.u = Unifier()
+    nat, unit, prod, arrow = CC_NAT, CC_UNIT, CCProd, CodeArrow
+
+    def __init__(self):
+        super().__init__()
         self.rigids = []
-        self.code_ctx = list(code_ctx)
+        self.code_ctx = []
 
     def finish(self, ty):
-        ty = self.u.zonk(ty)
-        if has_tvar(ty):
-            raise UnresolvedTypeVariable(f"could not ground inferred type {ty}")
+        ty = super().finish(ty)
         if self.rigids and _mentions_rigid(ty, set(self.rigids)):
             raise RigidEscape(f"skolem environment type escapes into {ty}")
         return ty
 
-    def check(self, ctx, sub, expected):
-        actual = self.infer(ctx, sub)
-        try:
-            self.u.unify(actual, expected)
-        except UnifyError:
-            raise TypeMismatch(sub, self.u.zonk(expected), self.u.zonk(actual))
-        return actual
-
-    def infer(self, ctx, t):
+    def infer_other(self, ctx, t):
         u = self.u
-        if isinstance(t, CNat):
-            return CC_NAT
-        if isinstance(t, CUnit):
-            return CC_UNIT
-        if isinstance(t, CVar):
-            return ctx_lookup(ctx, t.name)
-        if isinstance(t, CPred):
-            self.check(ctx, t.arg, CC_NAT)
-            return CC_NAT
-        if isinstance(t, CPlus):
-            self.check(ctx, t.l, CC_NAT)
-            self.check(ctx, t.r, CC_NAT)
-            return CC_NAT
-        if isinstance(t, CIfz):
-            self.check(ctx, t.cond, CC_NAT)
-            tz = self.infer(ctx, t.zbranch)
-            tnz = self.infer(ctx, t.nzbranch)
-            try:
-                u.unify(tz, tnz)
-            except UnifyError:
-                raise TypeMismatch(t, u.zonk(tz), u.zonk(tnz))
-            return tz
-        if isinstance(t, CPair):
-            return CCProd(self.infer(ctx, t.l), self.infer(ctx, t.r))
-        if isinstance(t, CFst):
-            a, b = u.fresh(), u.fresh()
-            self.check(ctx, t.arg, CCProd(a, b))
-            return a
-        if isinstance(t, CSnd):
-            a, b = u.fresh(), u.fresh()
-            self.check(ctx, t.arg, CCProd(a, b))
-            return b
-        if isinstance(t, CLet):
-            tb = self.infer(ctx, t.bound)
-            ctx.append((t.binder, tb))
-            try:
-                return self.infer(ctx, t.body)
-            finally:
-                ctx.pop()
         if isinstance(t, CAbs):
             targ = u.fresh()
             ctx.append((t.binder, targ))
@@ -329,15 +265,6 @@ class _Inference:
             finally:
                 ctx.pop()
             return CodeArrow(targ, tb)
-        if isinstance(t, CApp):
-            tf = self.infer(ctx, t.fn)
-            ta = self.infer(ctx, t.arg)
-            res = u.fresh()
-            try:
-                u.unify(tf, CodeArrow(ta, res))
-            except UnifyError:
-                raise TypeMismatch(t, CodeArrow(u.zonk(ta), u.zonk(res)), u.zonk(tf))
-            return res
         if isinstance(t, CClos):
             allowed = {x for x, _ in self.code_ctx}
             fv = free_vars(t.code) - allowed
@@ -355,7 +282,7 @@ class _Inference:
         if isinstance(t, COpen):
             t1, t2 = u.fresh(), u.fresh()
             self.check(ctx, t.scrutinee, ClosArrow(t1, t2))
-            tag = next(_rigid_tags)
+            tag = len(self.rigids) + 1
             self.rigids.append(tag)
             env_ty = Rigid(tag)
             ctx.append(
@@ -376,80 +303,14 @@ class _Inference:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-
-def step_cc(t: CCTerm):
-    if cc_is_value(t):
-        return None
-    if isinstance(t, CPred):
-        if isinstance(t.arg, CNat):
-            return CNat(max(0, t.arg.n - 1))
-        a = step_cc(t.arg)
-        return None if a is None else CPred(a)
-    if isinstance(t, CPlus):
-        if isinstance(t.l, CNat):
-            if isinstance(t.r, CNat):
-                return CNat(t.l.n + t.r.n)
-            r = step_cc(t.r)
-            return None if r is None else CPlus(t.l, r)
-        l = step_cc(t.l)
-        return None if l is None else CPlus(l, t.r)
-    if isinstance(t, CIfz):
-        if isinstance(t.cond, CNat):
-            return t.zbranch if t.cond.n == 0 else t.nzbranch
-        c = step_cc(t.cond)
-        return None if c is None else CIfz(c, t.zbranch, t.nzbranch)
-    if isinstance(t, CPair):
-        if cc_is_value(t.l):
-            r = step_cc(t.r)
-            return None if r is None else CPair(t.l, r)
-        l = step_cc(t.l)
-        return None if l is None else CPair(l, t.r)
-    if isinstance(t, CFst):
-        if isinstance(t.arg, CPair) and cc_is_value(t.arg):
-            return t.arg.l
-        a = step_cc(t.arg)
-        return None if a is None else CFst(a)
-    if isinstance(t, CSnd):
-        if isinstance(t.arg, CPair) and cc_is_value(t.arg):
-            return t.arg.r
-        a = step_cc(t.arg)
-        return None if a is None else CSnd(a)
-    if isinstance(t, CLet):
-        if cc_is_value(t.bound):
-            return subst({t.binder: t.bound}, t.body)
-        b = step_cc(t.bound)
-        return None if b is None else CLet(b, t.binder, t.body)
-    if isinstance(t, CClos):
-        if cc_is_value(t.code):
-            e = step_cc(t.env)
-            return None if e is None else CClos(t.code, e)
-        c = step_cc(t.code)
-        return None if c is None else CClos(c, t.env)
-    if isinstance(t, COpen):
-        if isinstance(t.scrutinee, CClos) and cc_is_value(t.scrutinee):
-            return subst(
-                {t.fbinder: t.scrutinee.code, t.ebinder: t.scrutinee.env}, t.body
-            )
-        if cc_is_value(t.scrutinee):
-            return None
-        s = step_cc(t.scrutinee)
-        return None if s is None else COpen(s, t.fbinder, t.ebinder, t.body)
-    if isinstance(t, CApp):
-        if isinstance(t.fn, CAbs):
-            if cc_is_value(t.arg):
-                return subst({t.fn.binder: t.arg}, t.fn.body)
-            a = step_cc(t.arg)
-            return None if a is None else CApp(t.fn, a)
-        if cc_is_value(t.fn):
-            return None
-        f = step_cc(t.fn)
-        return None if f is None else CApp(f, t.arg)
-    return None
+# The source relation has the rules of code, closures and open.
+cc_is_value = is_value
+step_cc = step_src
 
 
 def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
     """Iterate step_cc to a value, stuck term, or fuel exhaustion."""
-    return eval_lets(CLet, cc_is_value, step_cc, t, fuel)
+    return eval_lets(CLet, is_value, step_src, t, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from . import cc_lang, cg_lang, pipeline, source_lang, surface
+from . import cg_lang, pipeline, source_lang, surface
 from .errors import FcompError
 from .harness import GenConfig, check_preservation, format_report, fuzz
 from .pipeline import Stage
@@ -80,14 +80,12 @@ def cmd_trace(args):
     stage = _parse_stage(args.stage)
     artifact = pipeline.compile(term, stage)
     payload = artifact.payload
-    if stage in (Stage.SOURCE, Stage.CPS):
-        stepper = _src_stepper(payload)
-    elif stage is Stage.CC:
-        stepper = _cc_stepper(payload)
-    elif stage is Stage.HOIST:
-        stepper = _cc_stepper(program_body(payload))
-    else:
+    if stage is Stage.CG:
         stepper = _cg_stepper(payload)
+    else:
+        if stage is Stage.HOIST:
+            payload = program_body(payload)
+        stepper = _stepper(payload, lambda t: _show_value(stage, t))
     for i, line in enumerate(stepper):
         print(f"{i}: {line}")
         if i >= args.max_steps:
@@ -96,16 +94,10 @@ def cmd_trace(args):
     return 0
 
 
-def _src_stepper(t):
+def _stepper(t, show):
     while t is not None:
-        yield surface.print_source(t)
+        yield show(t)
         t = source_lang.step_src(t)
-
-
-def _cc_stepper(t):
-    while t is not None:
-        yield render(to_sexpr(t))
-        t = cc_lang.step_cc(t)
 
 
 def _cg_stepper(p):

@@ -279,33 +279,21 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
 
     # Determinism along traces: values never step and re-stepping agrees.
     budget = min(fuel, 300)
-    for term in (t, cps_t):
+    for stage, term in (("src-step", t), ("src-step", cps_t),
+                        ("cc-step", cc_t), ("cc-step", program_body(hoisted))):
         for _ in range(budget):
             if is_value(term):
                 if step_src(term) is not None:
-                    fail("src-step", "values do not step", term)
+                    fail(stage, "values do not step", term)
                 break
             n1, n2 = step_src(term), step_src(term)
             if n1 != n2:
-                fail("src-step", "deterministic step", term)
+                fail(stage, "deterministic step", term)
                 break
             if n1 is None:
-                fail("src-step", "progress", term)
+                fail(stage, "progress", term)
                 break
             term = n1
-
-    for cterm in (cc_t, program_body(hoisted)):
-        for _ in range(budget):
-            if cc_lang.cc_is_value(cterm):
-                break
-            n1, n2 = cc_lang.step_cc(cterm), cc_lang.step_cc(cterm)
-            if n1 != n2:
-                fail("cc-step", "deterministic step", cterm)
-                break
-            if n1 is None:
-                fail("cc-step", "progress", cterm)
-                break
-            cterm = n1
 
     mem = cg_lang.MemState()
     gterm = program_body(cg_p)

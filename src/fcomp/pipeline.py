@@ -47,34 +47,23 @@ def compile_stages(t: source_lang.SrcTerm, stop_after: Stage = Stage.CG):
     correctness statement this mirrors.
     """
     out = {Stage.SOURCE: StageArtifact(Stage.SOURCE, t)}
-    if stop_after is Stage.SOURCE:
-        return out
-    try:
-        cps_t = cps_program(t)
-    except FcompError as e:
-        raise StageError(Stage.CPS, e) from e
-    out[Stage.CPS] = StageArtifact(Stage.CPS, cps_t)
-    if stop_after is Stage.CPS:
-        return out
-    try:
-        cc_t = cc_program(cps_t)
-    except FcompError as e:
-        raise StageError(Stage.CC, e) from e
-    out[Stage.CC] = StageArtifact(Stage.CC, cc_t)
-    if stop_after is Stage.CC:
-        return out
-    try:
-        hoisted = hoist(cc_t)
-    except FcompError as e:
-        raise StageError(Stage.HOIST, e) from e
-    out[Stage.HOIST] = StageArtifact(Stage.HOIST, hoisted)
-    if stop_after is Stage.HOIST:
-        return out
-    try:
-        cg_p = cgen_program(hoisted)
-    except FcompError as e:
-        raise StageError(Stage.CG, e) from e
-    out[Stage.CG] = StageArtifact(Stage.CG, cg_p)
+    # Built at each call, so that a pass rebound in this module (a tracing
+    # wrapper) is the one that runs.
+    passes = [
+        (Stage.CPS, cps_program),
+        (Stage.CC, cc_program),
+        (Stage.HOIST, hoist),
+        (Stage.CG, cgen_program),
+    ]
+    payload = t
+    for stage, compile_pass in passes:
+        if stop_after in out:
+            break
+        try:
+            payload = compile_pass(payload)
+        except FcompError as e:
+            raise StageError(stage, e) from e
+        out[stage] = StageArtifact(stage, payload)
     return out
 
 

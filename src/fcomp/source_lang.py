@@ -3,6 +3,12 @@
 Syntax, simple types with unification-based inference and small-step
 call-by-value evaluation.  Binding structure (free variables, substitution,
 alpha-equivalence, s-expressions) comes from the term core in ``term``.
+
+The closure-converted language of ``cc_lang`` is this language with code
+abstraction, closures and open in place of ``fix``, so the rules the two
+share live here once: ``Inference`` holds the shared typing rules, which
+``cc_lang`` extends with its own types and constructors, and ``step_src``
+and ``is_value`` are the reduction relation and value test of both.
 """
 
 from __future__ import annotations
@@ -152,14 +158,6 @@ class App(SrcTerm):
 UNITVAL = UnitLit()
 
 
-def is_value(t: SrcTerm) -> bool:
-    if isinstance(t, (NatLit, UnitLit, Fix)):
-        return True
-    if isinstance(t, Pair):
-        return is_value(t.l) and is_value(t.r)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Typing
 
@@ -171,12 +169,8 @@ def typecheck_src(ctx, t: SrcTerm) -> SrcType:
     unification.  The returned type must come out ground; interior types
     that stay unconstrained (e.g. an ignored argument) are tolerated.
     """
-    u = Unifier()
-    ty = infer_src(list(ctx), t, u)
-    ty = u.zonk(ty)
-    if has_tvar(ty):
-        raise UnresolvedTypeVariable(f"could not ground inferred type {ty}")
-    return ty
+    inf = Inference()
+    return inf.finish(inf.infer(list(ctx), t))
 
 
 def ctx_lookup(ctx, name):
@@ -187,140 +181,204 @@ def ctx_lookup(ctx, name):
 
 
 def infer_src(ctx, t, u: Unifier):
-    def check(sub, expected):
-        actual = infer_src(ctx, sub, u)
+    """The type of t under ctx, with its type variables solved in u."""
+    inf = Inference()
+    inf.u = u
+    return inf.infer(ctx, t)
+
+
+class Inference:
+    """One typing run: a unifier, the typing rules shared with the
+    closure-converted language and the ``fix`` rule.  The class attributes
+    are the types the rules build; a subclass sets its own and types its
+    own constructors in ``infer_other``."""
+
+    nat, unit, prod, arrow = NAT, UNIT, TProd, TArrow
+
+    def __init__(self):
+        self.u = Unifier()
+
+    def finish(self, ty):
+        """ty with every solved variable substituted; it must be ground."""
+        ty = self.u.zonk(ty)
+        if has_tvar(ty):
+            raise UnresolvedTypeVariable(f"could not ground inferred type {ty}")
+        return ty
+
+    def check(self, ctx, sub, expected):
+        actual = self.infer(ctx, sub)
         try:
-            u.unify(actual, expected)
+            self.u.unify(actual, expected)
         except UnifyError:
-            raise TypeMismatch(sub, u.zonk(expected), u.zonk(actual))
+            raise TypeMismatch(sub, self.u.zonk(expected), self.u.zonk(actual))
         return actual
 
-    if isinstance(t, NatLit):
-        return NAT
-    if isinstance(t, UnitLit):
-        return UNIT
-    if isinstance(t, Var):
-        return ctx_lookup(ctx, t.name)
-    if isinstance(t, Pred):
-        check(t.arg, NAT)
-        return NAT
-    if isinstance(t, Plus):
-        check(t.l, NAT)
-        check(t.r, NAT)
-        return NAT
-    if isinstance(t, Ifz):
-        check(t.cond, NAT)
-        tz = infer_src(ctx, t.zbranch, u)
-        tnz = infer_src(ctx, t.nzbranch, u)
-        try:
-            u.unify(tz, tnz)
-        except UnifyError:
-            raise TypeMismatch(t, u.zonk(tz), u.zonk(tnz))
-        return tz
-    if isinstance(t, Pair):
-        return TProd(infer_src(ctx, t.l, u), infer_src(ctx, t.r, u))
-    if isinstance(t, Fst):
-        a, b = u.fresh(), u.fresh()
-        check(t.arg, TProd(a, b))
-        return a
-    if isinstance(t, Snd):
-        a, b = u.fresh(), u.fresh()
-        check(t.arg, TProd(a, b))
-        return b
-    if isinstance(t, Let):
-        tb = infer_src(ctx, t.bound, u)
-        ctx.append((t.binder, tb))
-        try:
-            return infer_src(ctx, t.body, u)
-        finally:
-            ctx.pop()
-    if isinstance(t, Fix):
-        t1 = t.argty if t.argty is not None else u.fresh()
-        t2 = t.retty if t.retty is not None else u.fresh()
-        arrow = TArrow(t1, t2)
-        ctx.append((t.selfbinder, arrow))
-        ctx.append((t.argbinder, t1))
-        try:
-            tb = infer_src(ctx, t.body, u)
-        finally:
-            ctx.pop()
-            ctx.pop()
-        try:
-            u.unify(tb, t2)
-        except UnifyError:
-            raise TypeMismatch(t, u.zonk(t2), u.zonk(tb))
-        return arrow
-    if isinstance(t, App):
-        tf = infer_src(ctx, t.fn, u)
-        ta = infer_src(ctx, t.arg, u)
-        res = u.fresh()
-        try:
-            u.unify(tf, TArrow(ta, res))
-        except UnifyError:
-            raise TypeMismatch(t, TArrow(u.zonk(ta), u.zonk(res)), u.zonk(tf))
-        return res
-    raise TypeError(t)
+    def infer(self, ctx, t):
+        """The type of t under ctx, a list of (name, type) pairs that the
+        rules for binders push onto and pop."""
+        u = self.u
+        h = t._head
+        if h == "nat":
+            return self.nat
+        if h == "unit":
+            return self.unit
+        if h == "var":
+            return ctx_lookup(ctx, t.name)
+        if h == "pred":
+            self.check(ctx, t.arg, self.nat)
+            return self.nat
+        if h == "plus":
+            self.check(ctx, t.l, self.nat)
+            self.check(ctx, t.r, self.nat)
+            return self.nat
+        if h == "ifz":
+            self.check(ctx, t.cond, self.nat)
+            tz = self.infer(ctx, t.zbranch)
+            tnz = self.infer(ctx, t.nzbranch)
+            try:
+                u.unify(tz, tnz)
+            except UnifyError:
+                raise TypeMismatch(t, u.zonk(tz), u.zonk(tnz))
+            return tz
+        if h == "pair":
+            return self.prod(self.infer(ctx, t.l), self.infer(ctx, t.r))
+        if h == "fst" or h == "snd":
+            a, b = u.fresh(), u.fresh()
+            self.check(ctx, t.arg, self.prod(a, b))
+            return a if h == "fst" else b
+        if h == "let":
+            tb = self.infer(ctx, t.bound)
+            ctx.append((t.binder, tb))
+            try:
+                return self.infer(ctx, t.body)
+            finally:
+                ctx.pop()
+        if h == "fix":
+            t1 = t.argty if t.argty is not None else u.fresh()
+            t2 = t.retty if t.retty is not None else u.fresh()
+            arrow = self.arrow(t1, t2)
+            ctx.append((t.selfbinder, arrow))
+            ctx.append((t.argbinder, t1))
+            try:
+                tb = self.infer(ctx, t.body)
+            finally:
+                ctx.pop()
+                ctx.pop()
+            try:
+                u.unify(tb, t2)
+            except UnifyError:
+                raise TypeMismatch(t, u.zonk(t2), u.zonk(tb))
+            return arrow
+        if h == "app":
+            tf = self.infer(ctx, t.fn)
+            ta = self.infer(ctx, t.arg)
+            res = u.fresh()
+            try:
+                u.unify(tf, self.arrow(ta, res))
+            except UnifyError:
+                raise TypeMismatch(
+                    t, self.arrow(u.zonk(ta), u.zonk(res)), u.zonk(tf)
+                )
+            return res
+        return self.infer_other(ctx, t)
+
+    def infer_other(self, ctx, t):
+        """The type of a node whose constructor the shared rules lack."""
+        raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
+# The heads of the values that have no subterm to evaluate.
+_LEAF_VALUES = frozenset({"nat", "unit", "fix", "cabs"})
 
-def step_src(t: SrcTerm):
-    """One step of left-to-right call-by-value reduction, or None."""
+
+def is_value(t) -> bool:
+    """Whether t is a value of the source or the closure-converted language."""
+    h = t._head
+    if h in _LEAF_VALUES:
+        return True
+    if h == "pair":
+        return is_value(t.l) and is_value(t.r)
+    if h == "clos":
+        return is_value(t.code) and is_value(t.env)
+    return False
+
+
+def step_src(t):
+    """One step of left-to-right call-by-value reduction of a source, cps,
+    cc or hoisted term, or None.  A rebuilt node has the class of the node
+    it replaces, so a step stays in the language of its term."""
     if is_value(t):
         return None
-    if isinstance(t, Pred):
-        if isinstance(t.arg, NatLit):
-            return NatLit(max(0, t.arg.n - 1))
-        a = step_src(t.arg)
-        return None if a is None else Pred(a)
-    if isinstance(t, Plus):
-        if isinstance(t.l, NatLit):
-            if isinstance(t.r, NatLit):
-                return NatLit(t.l.n + t.r.n)
+    h = t._head
+    if h == "pred":
+        a = t.arg
+        if a._head == "nat":
+            return a.__class__(max(0, a.n - 1))
+        a = step_src(a)
+        return None if a is None else t.__class__(a)
+    if h == "plus":
+        if t.l._head == "nat":
+            if t.r._head == "nat":
+                return t.l.__class__(t.l.n + t.r.n)
             r = step_src(t.r)
-            return None if r is None else Plus(t.l, r)
+            return None if r is None else t.__class__(t.l, r)
         l = step_src(t.l)
-        return None if l is None else Plus(l, t.r)
-    if isinstance(t, Ifz):
-        if isinstance(t.cond, NatLit):
+        return None if l is None else t.__class__(l, t.r)
+    if h == "ifz":
+        if t.cond._head == "nat":
             return t.zbranch if t.cond.n == 0 else t.nzbranch
         c = step_src(t.cond)
-        return None if c is None else Ifz(c, t.zbranch, t.nzbranch)
-    if isinstance(t, Pair):
+        return None if c is None else t.__class__(c, t.zbranch, t.nzbranch)
+    if h == "pair":
         if is_value(t.l):
             r = step_src(t.r)
-            return None if r is None else Pair(t.l, r)
+            return None if r is None else t.__class__(t.l, r)
         l = step_src(t.l)
-        return None if l is None else Pair(l, t.r)
-    if isinstance(t, Fst):
-        if isinstance(t.arg, Pair) and is_value(t.arg):
-            return t.arg.l
-        a = step_src(t.arg)
-        return None if a is None else Fst(a)
-    if isinstance(t, Snd):
-        if isinstance(t.arg, Pair) and is_value(t.arg):
-            return t.arg.r
-        a = step_src(t.arg)
-        return None if a is None else Snd(a)
-    if isinstance(t, Let):
+        return None if l is None else t.__class__(l, t.r)
+    if h == "fst" or h == "snd":
+        a = t.arg
+        if a._head == "pair" and is_value(a):
+            return a.l if h == "fst" else a.r
+        a = step_src(a)
+        return None if a is None else t.__class__(a)
+    if h == "let":
         if is_value(t.bound):
             return subst_apply({t.binder: t.bound}, t.body)
         b = step_src(t.bound)
-        return None if b is None else Let(b, t.binder, t.body)
-    if isinstance(t, App):
-        if isinstance(t.fn, Fix):
-            if is_value(t.arg):
+        return None if b is None else t.__class__(b, t.binder, t.body)
+    if h == "app":
+        fn = t.fn
+        if fn._head == "fix" or fn._head == "cabs":
+            if not is_value(t.arg):
+                a = step_src(t.arg)
+                return None if a is None else t.__class__(fn, a)
+            if fn._head == "fix":
                 return subst_apply(
-                    {t.fn.selfbinder: t.fn, t.fn.argbinder: t.arg}, t.fn.body
+                    {fn.selfbinder: fn, fn.argbinder: t.arg}, fn.body
                 )
-            a = step_src(t.arg)
-            return None if a is None else App(t.fn, a)
-        if is_value(t.fn):
+            return subst_apply({fn.binder: t.arg}, fn.body)
+        if is_value(fn):
             return None
-        f = step_src(t.fn)
-        return None if f is None else App(f, t.arg)
+        f = step_src(fn)
+        return None if f is None else t.__class__(f, t.arg)
+    # The closure-converted language alone has these.
+    if h == "clos":
+        if is_value(t.code):
+            e = step_src(t.env)
+            return None if e is None else t.__class__(t.code, e)
+        c = step_src(t.code)
+        return None if c is None else t.__class__(c, t.env)
+    if h == "open":
+        s = t.scrutinee
+        if is_value(s):
+            if s._head != "clos":
+                return None
+            return subst_apply({t.fbinder: s.code, t.ebinder: s.env}, t.body)
+        s = step_src(s)
+        return None if s is None else t.__class__(s, t.fbinder, t.ebinder, t.body)
     return None
 
 

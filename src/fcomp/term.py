@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -58,6 +59,8 @@ def node(template, binds=None, var=False):
 
     ``binds`` maps a child field to the binder fields in scope of it.  A
     ``var`` node is the IR's variable occurrence; its one field is the name.
+    The first atom of the template is the node's ``_head`` ("plus",
+    "unit", ...), which the shared step relation and typechecker dispatch on.
     """
     binds = binds or {}
     binders = [b for scope in binds.values() for b in scope]
@@ -97,6 +100,7 @@ def node(template, binds=None, var=False):
         cls._data = tuple(f for f in names if kinds[f] is NUM)
         cls._annots = tuple(f for f in names if kinds[f] is ANNOT)
         base = cls.__mro__[1]
+        cls._head = sys.intern(tmpl if isinstance(tmpl, str) else tmpl[0])
         if isinstance(tmpl, str):
             base._atoms[tmpl] = cls()
         else:

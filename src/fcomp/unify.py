@@ -54,7 +54,7 @@ class Unifier:
         return TVar(next(self._ids))
 
     def resolve(self, ty):
-        """Follow variable bindings one level (path-compresses as it goes)."""
+        """Follow variable bindings to a type that is not a bound variable."""
         while isinstance(ty, TVar) and ty.id in self._store:
             ty = self._store[ty.id]
         return ty

@@ -191,6 +191,16 @@ class TestTyping:
         with pytest.raises(RigidEscape):
             typecheck_cc(ctx, leak)
 
+    def test_rigid_tags_are_numbered_per_run(self):
+        leak = COpen(CClos(CAbs("p", CSnd(CSnd(CVar("p")))), CNat(1)),
+                     "f", "e", CVar("e"))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(RigidEscape) as e:
+                typecheck_cc([], leak)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
     def test_rigid_unifies_only_with_itself(self):
         ctx = [("c", ClosArrow(CC_NAT, CC_NAT))]
         # Using the opened environment where a nat is needed fails.

@@ -1,0 +1,89 @@
+"""The reduction and typing rules the source and closure-converted languages
+share: stuck terms, type error messages and recursion depth, pinned side by
+side in both IRs so that the two keep behaving alike."""
+
+import sys
+
+import pytest
+
+from fcomp.cc_lang import (
+    CAbs, CApp, CClos, CFst, CLet, CNat, COpen, CPlus, CPred, CVar,
+    CC_UNITVAL, eval_cc, step_cc, typecheck_cc,
+)
+from fcomp.errors import TypeMismatch
+from fcomp.source_lang import (
+    NAT, App, Fix, Fst, Let, NatLit, Outcome, Plus, Pred, Var, eval_src,
+    step_src, typecheck_src,
+)
+
+FN = Fix("f", "x", NAT, NAT, Var("x"))
+CODE = CAbs("p", CVar("p"))
+
+# (term, evaluator, step count before it is stuck).  Neither the argument of
+# a stuck application nor the right operand after a non-numeral left one is
+# reduced.
+STUCK = [
+    (App(NatLit(1), Pred(NatLit(2))), eval_src, 0),
+    (CApp(CNat(1), CPred(CNat(2))), eval_cc, 0),
+    (App(Pred(NatLit(2)), Pred(NatLit(2))), eval_src, 1),
+    (CApp(CPred(CNat(2)), CPred(CNat(2))), eval_cc, 1),
+    (COpen(CNat(1), "f", "e", CVar("f")), eval_cc, 0),
+    (Fst(NatLit(1)), eval_src, 0),
+    (CFst(CNat(1)), eval_cc, 0),
+    (Let(NatLit(1), "x", Fst(Var("x"))), eval_src, 1),
+    (CLet(CNat(1), "x", CFst(CVar("x"))), eval_cc, 1),
+    (Plus(FN, Pred(NatLit(3))), eval_src, 0),
+    (CPlus(CODE, CPred(CNat(3))), eval_cc, 0),
+    (CPlus(CClos(CODE, CC_UNITVAL), CPred(CNat(3))), eval_cc, 0),
+]
+
+
+@pytest.mark.parametrize("t, evaluate, steps", STUCK)
+def test_stuck_outcome_and_step_count(t, evaluate, steps):
+    out = evaluate(t, 100)
+    assert out.kind is Outcome.STUCK
+    assert out.steps == steps
+    if steps == 0:
+        assert out.value == t
+
+
+@pytest.mark.parametrize("t, typecheck, message", [
+    (App(NatLit(1), NatLit(2)), typecheck_src,
+     "type mismatch at App(fn=NatLit(n=1), arg=NatLit(n=2)): "
+     "expected nat -> ?1, got nat"),
+    (CApp(CNat(1), CNat(2)), typecheck_cc,
+     "type mismatch at CApp(fn=CNat(n=1), arg=CNat(n=2)): "
+     "expected (nat => ?1), got nat"),
+    (Fst(NatLit(1)), typecheck_src,
+     "type mismatch at NatLit(n=1): expected ?1 * ?2, got nat"),
+    (CFst(CNat(1)), typecheck_cc,
+     "type mismatch at CNat(n=1): expected (?1 * ?2), got nat"),
+])
+def test_type_mismatch_message(t, typecheck, message):
+    with pytest.raises(TypeMismatch) as e:
+        typecheck([], t)
+    assert str(e.value) == message
+
+
+def _chain(plus, nat, depth):
+    t = nat(1)
+    for _ in range(depth):
+        t = plus(t, nat(1))
+    return t
+
+
+@pytest.mark.parametrize("plus, nat, typecheck, step", [
+    (Plus, NatLit, typecheck_src, step_src),
+    (CPlus, CNat, typecheck_cc, step_cc),
+])
+def test_depth_of_a_2000_deep_chain(plus, nat, typecheck, step):
+    # Two Python frames per level to typecheck, one to step.
+    t = _chain(plus, nat, 2000)
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(4100)
+        assert str(typecheck([], t)) == "nat"
+        sys.setrecursionlimit(2100)
+        assert step(t) is not None
+    finally:
+        sys.setrecursionlimit(old)

@@ -24,30 +24,31 @@ from .errors import (
 )
 from .source_lang import Inference, is_value, step_src
 from .term import EvalOutcome, Term, eval_lets, free_vars, node, program_body
-from .unify import TypeExpr, UnifyError, _type_children
+from .unify import UnifyError, nodes
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-class CCType(TypeExpr):
+class CCType(Term):
     __slots__ = ()
+    _noun = "type"
 
 
-@dataclass(frozen=True)
+@node("nat")
 class CCNat(CCType):
     def __str__(self):
         return "nat"
 
 
-@dataclass(frozen=True)
+@node("unit")
 class CCUnit(CCType):
     def __str__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
+@node("(arrow dom cod)")
 class ClosArrow(CCType):
     dom: CCType
     cod: CCType
@@ -56,7 +57,7 @@ class ClosArrow(CCType):
         return f"({self.dom} -> {self.cod})"
 
 
-@dataclass(frozen=True)
+@node("(code dom cod)")
 class CodeArrow(CCType):
     dom: CCType
     cod: CCType
@@ -65,7 +66,7 @@ class CodeArrow(CCType):
         return f"({self.dom} => {self.cod})"
 
 
-@dataclass(frozen=True)
+@node("(prod left right)")
 class CCProd(CCType):
     left: CCType
     right: CCType
@@ -74,7 +75,7 @@ class CCProd(CCType):
         return f"({self.left} * {self.right})"
 
 
-@dataclass(frozen=True)
+@node("(rigid #tag)")
 class Rigid(CCType):
     tag: int
 
@@ -227,9 +228,7 @@ def typecheck_cc(ctx, t: CCTerm) -> CCType:
 
 
 def _mentions_rigid(ty, tags):
-    if isinstance(ty, Rigid):
-        return ty.tag in tags
-    return any(_mentions_rigid(c, tags) for c in _type_children(ty))
+    return any(isinstance(n, Rigid) and n.tag in tags for n in nodes(ty))
 
 
 class _Inference(Inference):

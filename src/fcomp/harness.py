@@ -208,25 +208,22 @@ def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
         fail("compile", "pipeline success", repr(e))
         return report
 
-    # (a) Types are preserved stage by stage.
-    try:
-        ty = typecheck_src([], stages[Stage.CPS].payload)
-        if ty != NAT:
-            fail("cps-type", NAT, ty)
-    except FcompError as e:
-        fail("cps-type", NAT, repr(e))
-    try:
-        ty = cc_lang.typecheck_cc([], stages[Stage.CC].payload)
-        if ty != cc_lang.CC_NAT:
-            fail("cc-type", cc_lang.CC_NAT, ty)
-    except FcompError as e:
-        fail("cc-type", cc_lang.CC_NAT, repr(e))
-    try:
-        ty = cc_lang.typecheck_hoisted(stages[Stage.HOIST].payload)
-        if ty != cc_lang.CC_NAT:
-            fail("hoist-type", cc_lang.CC_NAT, ty)
-    except FcompError as e:
-        fail("hoist-type", cc_lang.CC_NAT, repr(e))
+    # (a) Types are preserved stage by stage.  The typecheckers are looked up
+    # when called, so that rebinding a module's name (to trace it) holds.
+    cps_t, cc_t, hoisted = (
+        stages[s].payload for s in (Stage.CPS, Stage.CC, Stage.HOIST)
+    )
+    for label, typecheck, expected in (
+        ("cps-type", lambda: typecheck_src([], cps_t), NAT),
+        ("cc-type", lambda: cc_lang.typecheck_cc([], cc_t), cc_lang.CC_NAT),
+        ("hoist-type", lambda: cc_lang.typecheck_hoisted(hoisted), cc_lang.CC_NAT),
+    ):
+        try:
+            ty = typecheck()
+            if ty != expected:
+                fail(label, expected, ty)
+        except FcompError as e:
+            fail(label, expected, repr(e))
 
     # (b) Terminating source runs are matched by every downstream stage.
     src_out = eval_src(t, fuel)

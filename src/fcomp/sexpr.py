@@ -1,17 +1,18 @@
 """S-expression text for every IR in the pipeline: the reader, the
-renderer, types, and the program wrappers.
+renderer, and the program wrappers.
 
-Each term constructor's shape, e.g. ``(let e (x body))`` or ``(fix (f x T1
-T2) body)``, is the template on its class; ``term.to_sexpr`` and
-``term.from_sexpr`` print and read terms from those templates.  This module
-adds the types of fix annotations and the two program forms
-``(htm (F1 ... Fn) (habs (f1 ... fn) body))`` and ``(letfun (f1 ... fn)
-(F1 ... Fn) S)``.
+Each term or type constructor's shape, e.g. ``(let e (x body))``, ``(fix (f
+x T1 T2) body)`` or ``(arrow T1 T2)``, is the template on its class;
+``term.to_sexpr`` and ``term.from_sexpr`` print and read terms and types
+from those templates.  This module adds the reader and renderer of the text
+and the two program forms ``(htm (F1 ... Fn) (habs (f1 ... fn) body))`` and
+``(letfun (f1 ... fn) (F1 ... Fn) S)``.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 
 from . import cc_lang as cc
 from . import cg_lang as cg
@@ -24,33 +25,22 @@ from .errors import ParseError
 # Generic reader
 
 
+# A parenthesis, an atom, a comment or a newline; whitespace in between is
+# skipped.
+_TOKEN = re.compile(r"[()]|[^\s();]+|;.*|\n")
+
+
 def _tokenize(text):
+    """The (token, line, column) triples of text, lines and columns from 1."""
     out = []
-    i = 0
-    line, col = 1, 1
-    while i < len(text):
-        ch = text[i]
-        if ch in "()":
-            out.append((ch, line, col))
-            i += 1
-            col += 1
-        elif ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
             line += 1
-            col = 1
-        elif ch.isspace():
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            out.append((text[i:j], line, col))
-            col += j - i
-            i = j
+            line_start = m.end()
+        elif tok[0] != ";":
+            out.append((tok, line, m.start() - line_start + 1))
     return out
 
 
@@ -86,41 +76,13 @@ def read_sexpr(text):
 
 
 # ---------------------------------------------------------------------------
-# Types
+# Terms and types
 
-
-def type_to_sexpr(t):
-    if isinstance(t, (src.TNat, cc.CCNat)):
-        return "nat"
-    if isinstance(t, (src.TUnit, cc.CCUnit)):
-        return "unit"
-    if isinstance(t, src.TArrow):
-        return ["arrow", type_to_sexpr(t.domain), type_to_sexpr(t.codomain)]
-    if isinstance(t, src.TProd):
-        return ["prod", type_to_sexpr(t.left), type_to_sexpr(t.right)]
-    if isinstance(t, cc.ClosArrow):
-        return ["arrow", type_to_sexpr(t.dom), type_to_sexpr(t.cod)]
-    if isinstance(t, cc.CodeArrow):
-        return ["code", type_to_sexpr(t.dom), type_to_sexpr(t.cod)]
-    if isinstance(t, cc.CCProd):
-        return ["prod", type_to_sexpr(t.left), type_to_sexpr(t.right)]
-    raise TypeError(t)
-
-
-def src_type_from_sexpr(e):
-    if e == "nat":
-        return src.NAT
-    if e == "unit":
-        return src.UNIT
-    if isinstance(e, list) and len(e) == 3 and e[0] == "arrow":
-        return src.TArrow(src_type_from_sexpr(e[1]), src_type_from_sexpr(e[2]))
-    if isinstance(e, list) and len(e) == 3 and e[0] == "prod":
-        return src.TProd(src_type_from_sexpr(e[1]), src_type_from_sexpr(e[2]))
-    raise ParseError(f"bad type: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# Terms
+# Types print and read by their templates, as terms do.
+type_to_sexpr = cc_to_sexpr = cg_to_sexpr = term.to_sexpr
+src_type_from_sexpr = functools.partial(term.from_sexpr, src.SrcType)
+cc_from_sexpr = functools.partial(term.from_sexpr, cc.CCTerm)
+cg_from_sexpr = functools.partial(term.from_sexpr, cg.CgTerm)
 
 
 def src_to_sexpr(t):
@@ -129,11 +91,6 @@ def src_to_sexpr(t):
 
 def src_from_sexpr(e):
     return term.from_sexpr(src.SrcTerm, e, src_type_from_sexpr)
-
-
-cc_to_sexpr = cg_to_sexpr = term.to_sexpr
-cc_from_sexpr = functools.partial(term.from_sexpr, cc.CCTerm)
-cg_from_sexpr = functools.partial(term.from_sexpr, cg.CgTerm)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Syntax, simple types with unification-based inference and small-step
 call-by-value evaluation.  Binding structure (free variables, substitution,
-alpha-equivalence, s-expressions) comes from the term core in ``term``.
+alpha-equivalence, s-expressions) comes from the term core in ``term``,
+which describes the types as well.
 
 The closure-converted language of ``cc_lang`` is this language with code
 abstraction, closures and open in place of ``fix``, so the rules the two
@@ -13,7 +14,6 @@ and ``is_value`` are the reduction relation and value test of both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import TypeMismatch, UnboundVariable, UnresolvedTypeVariable
@@ -21,30 +21,31 @@ from .term import EvalOutcome, Term, eval_lets, node, subst as subst_apply
 
 # The binding operations of source terms, under the names callers use.
 from .term import Outcome, all_names, alpha_eq, free_vars  # noqa: F401
-from .unify import TypeExpr, Unifier, UnifyError, has_tvar
+from .unify import Unifier, UnifyError, has_tvar
 
 
 # ---------------------------------------------------------------------------
 # Types
 
 
-class SrcType(TypeExpr):
+class SrcType(Term):
     __slots__ = ()
+    _noun = "type"
 
 
-@dataclass(frozen=True)
+@node("nat")
 class TNat(SrcType):
     def __str__(self):
         return "nat"
 
 
-@dataclass(frozen=True)
+@node("unit")
 class TUnit(SrcType):
     def __str__(self):
         return "unit"
 
 
-@dataclass(frozen=True)
+@node("(arrow domain codomain)")
 class TArrow(SrcType):
     domain: SrcType
     codomain: SrcType
@@ -56,7 +57,7 @@ class TArrow(SrcType):
         return f"{dom} -> {self.codomain}"
 
 
-@dataclass(frozen=True)
+@node("(prod left right)")
 class TProd(SrcType):
     left: SrcType
     right: SrcType
@@ -178,13 +179,6 @@ def ctx_lookup(ctx, name):
         if x == name:
             return ty
     raise UnboundVariable(name)
-
-
-def infer_src(ctx, t, u: Unifier):
-    """The type of t under ctx, with its type variables solved in u."""
-    inf = Inference()
-    inf.u = u
-    return inf.infer(ctx, t)
 
 
 class Inference:

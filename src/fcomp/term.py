@@ -1,21 +1,23 @@
-"""One binder-aware core for the terms of every IR.
+"""One binder-aware core for the terms and types of every IR.
 
-Each term constructor is a frozen dataclass that describes itself once, with
-the ``node`` decorator: an s-expression template that names its fields, and
-the binder fields in scope of each child.  In a template a plain field name
-is a child term, ``#f`` a numeral, ``?f`` an optional annotation (a trailing
-group, printed only when one of them is set, ``_`` standing for a missing
-one), a name listed in ``binds`` a binder, and the one field of a ``var``
-node the variable it names.  For example::
+Each term or type constructor is a frozen dataclass that describes itself
+once, with the ``node`` decorator: an s-expression template that names its
+fields, and the binder fields in scope of each child.  In a template a plain
+field name is a child, ``#f`` a numeral, ``?f`` an optional annotation (a
+trailing group, printed only when one of them is set, ``_`` standing for a
+missing one), a name listed in ``binds`` a binder, and the one field of a
+``var`` node the variable it names.  For example::
 
     @node("(let bound (binder body))", binds={"body": ("binder",)})
+    @node("(arrow domain codomain)")
 
 From these descriptions this module derives, for the source/cps,
 closure-converted/hoisted and target IRs alike: free variables (cached on
 the node), all names, capture-avoiding simultaneous substitution, a
 canonical form for alpha-equivalence, s-expression printing and reading,
 the child walker that shrinking uses and the let-stack evaluation loop
-behind every interpreter.
+behind every interpreter.  Types have no binders; ``unify`` walks and
+rebuilds them through the same description.
 
 Every walk recurses in Python, one frame per level of the term (two under
 a binder in substitution), and never through a C call (``map``, ``join``, a
@@ -39,12 +41,13 @@ CHILD, BINDER, NAME, NUM, ANNOT = "child", "binder", "name", "num", "annot"
 
 
 class Term:
-    """Base of each IR's term class, which gets its own table of heads for
-    reading s-expressions."""
+    """Base of each IR's term class and type class, which gets its own table
+    of heads for reading s-expressions."""
 
     __slots__ = ()
     _is_var = False
     _fv = None  # free variables, cached on the instance by free_vars
+    _noun = "term"  # what from_sexpr's messages call a bad form
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -325,28 +328,28 @@ def to_sexpr(t, annot=None):
 
 
 def from_sexpr(base, e, annot=None):
-    """Read a term of the IR whose term class is ``base``; ``annot`` reads
-    annotation values."""
+    """Read a term of the IR whose term (or type) class is ``base``;
+    ``annot`` reads annotation values."""
     if isinstance(e, str):
         if e not in base._atoms:
-            raise ParseError(f"bad term: {e!r}")
+            raise ParseError(f"bad {base._noun}: {e!r}")
         return base._atoms[e]
     cls = base._heads.get(e[0]) if e and isinstance(e[0], str) else None
     if cls is None:
-        raise ParseError(f"bad term: {e!r}")
+        raise ParseError(f"bad {base._noun}: {e!r}")
     values = dict.fromkeys(cls._annots)
     todo = [(cls._tmpl, e)]
     for items, x in todo:
         if not isinstance(x, list) or (
             len(x) != len(items) and not _annots_omitted(items, x)
         ):
-            raise ParseError(f"bad term: {e!r}")
+            raise ParseError(f"bad {base._noun}: {e!r}")
         for item, y in zip(items, x):
             if isinstance(item, list):
                 todo.append((item, y))
             elif isinstance(item, str):
                 if y != item:
-                    raise ParseError(f"bad term: {e!r}")
+                    raise ParseError(f"bad {base._noun}: {e!r}")
             elif item[0] is CHILD:
                 values[item[1]] = from_sexpr(base, y, annot)
             elif item[0] is NUM:

@@ -1,9 +1,11 @@
-"""Structural first-order unification over dataclass type trees.
+"""Structural first-order unification over the types of the term core.
 
-Both the source and the closure-converted type languages are frozen
-dataclasses whose fields are themselves types.  Unification is monomorphic:
-type variables stand for exactly one type, rigid constants unify only with
-themselves (they are plain leaves with a tag field).
+Both the source and the closure-converted type languages are ``node``
+classes, so unification walks and rebuilds them through the core's
+description: the child fields, the numeral fields and the class.
+Unification is monomorphic: type variables stand for exactly one type,
+rigid constants unify only with themselves (they are leaves with a numeral
+tag).
 """
 
 from __future__ import annotations
@@ -12,15 +14,9 @@ import dataclasses
 import itertools
 
 
-class TypeExpr:
-    """Common base for all type dataclasses, including variables."""
-
-    __slots__ = ()
-
-
 @dataclasses.dataclass(frozen=True)
-class TVar(TypeExpr):
-    """A unification variable."""
+class TVar:
+    """A unification variable: a plain leaf, not a node of the core."""
 
     id: int
 
@@ -35,12 +31,28 @@ class UnifyError(Exception):
         self.b = b
 
 
-def _children(ty):
-    return [getattr(ty, f.name) for f in dataclasses.fields(ty)]
+def nodes(ty, resolve=None):
+    """Each distinct node reachable from ty, once, after ``resolve`` (if
+    given) follows variable bindings.  Unification builds types that share
+    subtrees, so walking every path instead would take time exponential in
+    their depth."""
+    seen = set()
+    stack = [ty]
+    while stack:
+        ty = stack.pop()
+        if resolve is not None:
+            ty = resolve(ty)
+        if id(ty) in seen:
+            continue
+        seen.add(id(ty))
+        yield ty
+        if not isinstance(ty, TVar):
+            for f, _ in ty._children:
+                stack.append(getattr(ty, f))
 
 
-def _type_children(ty):
-    return [c for c in _children(ty) if isinstance(c, TypeExpr)]
+def has_tvar(ty):
+    return any(isinstance(n, TVar) for n in nodes(ty))
 
 
 class Unifier:
@@ -62,22 +74,15 @@ class Unifier:
     def zonk(self, ty):
         """Substitute all solved variables throughout ``ty``."""
         ty = self.resolve(ty)
-        if isinstance(ty, TVar):
+        if isinstance(ty, TVar) or not ty._children:
             return ty
-        fields = dataclasses.fields(ty)
-        if not fields:
-            return ty
-        repl = {
-            f.name: self.zonk(v) if isinstance(v := getattr(ty, f.name), TypeExpr) else v
-            for f in fields
-        }
-        return dataclasses.replace(ty, **repl)
+        args = {f: self.zonk(getattr(ty, f)) for f, _ in ty._children}
+        for f in ty._data:
+            args[f] = getattr(ty, f)
+        return ty.__class__(**args)
 
     def occurs(self, var, ty):
-        ty = self.resolve(ty)
-        if isinstance(ty, TVar):
-            return ty == var
-        return any(self.occurs(var, c) for c in _type_children(ty))
+        return any(n == var for n in nodes(ty, self.resolve))
 
     def unify(self, a, b):
         a = self.resolve(a)
@@ -92,17 +97,9 @@ class Unifier:
         if isinstance(b, TVar):
             self.unify(b, a)
             return
-        if type(a) is not type(b):
+        if type(a) is not type(b) or any(
+            getattr(a, f) != getattr(b, f) for f in a._data
+        ):
             raise UnifyError(a, b)
-        az, bz = _children(a), _children(b)
-        for ca, cb in zip(az, bz):
-            if isinstance(ca, TypeExpr):
-                self.unify(ca, cb)
-            elif ca != cb:
-                raise UnifyError(a, b)
-
-
-def has_tvar(ty):
-    if isinstance(ty, TVar):
-        return True
-    return any(has_tvar(c) for c in _type_children(ty))
+        for f, _ in a._children:
+            self.unify(getattr(a, f), getattr(b, f))

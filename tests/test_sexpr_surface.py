@@ -2,6 +2,7 @@
 
 import pytest
 
+from fcomp import cc_lang as cc
 from fcomp import sexpr
 from fcomp.errors import ParseError
 from fcomp.pipeline import Stage, compile_stages, parse_stage_artifact
@@ -136,6 +137,32 @@ class TestSexpr:
         with pytest.raises(ParseError) as ei:
             sexpr.read_sexpr("(nat\n1))")
         assert ei.value.line >= 1
+
+    def test_reader_pins_line_and_column(self):
+        text = "; a dump\n(let (nat 1)\n  (x\t(plus (var x) (nat 2)))) )"
+        with pytest.raises(ParseError) as ei:
+            sexpr.read_sexpr(text)
+        assert (ei.value.line, ei.value.col) == (3, 31)
+        assert str(ei.value) == "3:31: trailing input: )"
+        with pytest.raises(ParseError) as ei:
+            sexpr.read_sexpr("(pair\n  (nat 1)\n   (unit")
+        assert (ei.value.line, ei.value.col) == (3, 4)
+
+    def test_type_forms(self):
+        forms = {
+            NAT: "nat",
+            TArrow(UNIT, TProd(NAT, NAT)): "(arrow unit (prod nat nat))",
+            cc.ClosArrow(cc.CC_NAT, cc.CC_UNIT): "(arrow nat unit)",
+            cc.CodeArrow(cc.CCProd(cc.CC_NAT, cc.Rigid(2)), cc.CC_NAT):
+                "(code (prod nat (rigid 2)) nat)",
+        }
+        for ty, text in forms.items():
+            assert sexpr.render(sexpr.type_to_sexpr(ty)) == text
+
+    @pytest.mark.parametrize("bad", ["arrow", "(arrow nat)", "(code nat nat)"])
+    def test_bad_type(self, bad):
+        with pytest.raises(ParseError, match="^bad type: "):
+            sexpr.src_type_from_sexpr(sexpr.read_sexpr(bad))
 
 
 class TestSexprNumerals:

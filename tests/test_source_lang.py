@@ -10,6 +10,7 @@ from fcomp.source_lang import (
     Snd, TArrow, TProd, UnitLit, Var, alpha_eq, eval_src, free_vars,
     is_value, step_src, subst_apply, typecheck_src,
 )
+from fcomp.unify import TVar, Unifier, UnifyError, has_tvar
 
 
 def nat(n):
@@ -127,6 +128,44 @@ class TestTyping:
         f = Fix("f", "x", NAT, NAT, Var("x"))
         with pytest.raises(TypeCheckError):
             typecheck_src([], App(f, UnitLit()))
+
+
+class TestUnifier:
+    def shared(self, leaf, depth=20):
+        """TArrow(t, t) nested depth deep: depth + 1 distinct nodes on 2 **
+        (depth + 1) - 1 paths."""
+        t = leaf
+        for _ in range(depth):
+            t = TArrow(t, t)
+        return t
+
+    def test_occurs_visits_each_shared_node_once(self):
+        calls = []
+
+        class Counting(Unifier):
+            def resolve(self, ty):
+                calls.append(ty)
+                return super().resolve(ty)
+
+        u = Counting()
+        a, b = u.fresh(), u.fresh()
+        assert not u.occurs(a, self.shared(b))
+        assert u.occurs(b, self.shared(b))
+        # One resolve per edge and one for the root, not one per path.
+        assert len(calls) <= 2 * (2 * 20 + 1)
+
+    def test_occurs_follows_bindings(self):
+        u = Unifier()
+        a, b = u.fresh(), u.fresh()
+        u.unify(b, self.shared(a, 3))
+        assert u.occurs(a, TProd(NAT, b))
+        with pytest.raises(UnifyError):
+            u.unify(a, TArrow(b, NAT))
+
+    def test_has_tvar(self):
+        assert not has_tvar(self.shared(NAT))
+        assert has_tvar(self.shared(TVar(1)))
+        assert has_tvar(TProd(self.shared(NAT, 3), TVar(1)))
 
 
 class TestSubstitution:

@@ -1,12 +1,15 @@
 """The term core: every constructor of every IR through free variables,
 substitution and the s-expression round trip, plus deep terms."""
 
+import dataclasses
+
 import pytest
 
 from fcomp import cc_lang as cc
 from fcomp import cg_lang as cg
 from fcomp import sexpr
 from fcomp import source_lang as src
+from fcomp import term
 from fcomp.term import all_names, alpha_eq, free_vars, subst
 
 S, C, G = src, cc, cg
@@ -62,6 +65,37 @@ def test_every_constructor_has_a_sample(base, var, samples, to_sexpr, from_sexpr
 def test_sexpr_roundtrip(var, to_sexpr, from_sexpr, t):
     text = sexpr.render(to_sexpr(t))
     assert from_sexpr(sexpr.read_sexpr(text)) == t
+
+
+# Every node class of every IR base, from the tables the reader uses.
+NODE_BASES = [src.SrcTerm, cc.CCTerm, cg.CgTerm, src.SrcType, cc.CCType]
+NODES = [
+    (base, cls)
+    for base in NODE_BASES
+    for cls in [*base._heads.values(), *map(type, base._atoms.values())]
+]
+
+
+@pytest.mark.parametrize(
+    "base, cls", NODES, ids=[f"{b.__name__}.{c.__name__}" for b, c in NODES]
+)
+def test_every_node_roundtrips_and_is_a_dataclass(base, cls):
+    """Built from its own description (an atom of its IR for each child),
+    each node reads back as itself, and dataclasses.fields and replace, which
+    the benchmark's node count and the shrinker use, see the same fields."""
+    atom = next(iter(base._atoms.values()))
+    args = {f: atom for f, _ in cls._children}
+    args.update({f: 2 for f in cls._data})
+    args.update({f: src.NAT for f in cls._annots})
+    args.update({f: f"x{i}" for i, f in enumerate(cls._binders)})
+    if cls._is_var:
+        args["name"] = "x"
+    t = cls(**args)
+    text = sexpr.render(term.to_sexpr(t, term.to_sexpr))
+    back = term.from_sexpr(base, sexpr.read_sexpr(text), sexpr.src_type_from_sexpr)
+    assert back == t and type(back) is cls
+    assert {f.name for f in dataclasses.fields(t)} == set(args)
+    assert dataclasses.replace(t) == t
 
 
 @pytest.mark.parametrize("var, to_sexpr, from_sexpr, t", SAMPLES, ids=SAMPLE_IDS)

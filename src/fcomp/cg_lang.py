@@ -111,7 +111,7 @@ def cg_is_value(t: CgTerm) -> bool:
 # Memory model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemState:
     next_free: int = 0
     heap: tuple = ()

@@ -1,7 +1,7 @@
 """The fcomp command-line tool.
 
-Exit codes: 0 success, 1 user error (bad input, type error, stuck program),
-2 verification counterexample found by fuzzing.
+Exit codes: 0 success, 1 user error (bad input, type error, stuck program,
+input nested too deeply), 2 verification counterexample found by fuzzing.
 """
 
 from __future__ import annotations
@@ -187,6 +187,9 @@ def main(argv=None):
         code = 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        code = 1
+    except RecursionError:
+        print("error: input nests too deeply for the recursion limit", file=sys.stderr)
         code = 1
     sys.exit(code)
 

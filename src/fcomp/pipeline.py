@@ -25,7 +25,7 @@ class Stage(enum.Enum):
 STAGE_ORDER = [Stage.SOURCE, Stage.CPS, Stage.CC, Stage.HOIST, Stage.CG]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageArtifact:
     stage: Stage
     payload: object

@@ -14,7 +14,7 @@ import dataclasses
 import itertools
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TVar:
     """A unification variable: a plain leaf, not a node of the core."""
 

@@ -6,6 +6,7 @@ the deepest point.  Both passes must also stay at one Python frame per term
 level, so the deepest input they accept does not shrink.
 """
 
+import gc
 import tracemalloc
 
 from fcomp.cc_pass import cc_program
@@ -15,6 +16,7 @@ from fcomp.pipeline import Stage, compile_stages
 from fcomp.surface import parse_source
 
 PEAK_LIMIT = 4 * 1024 * 1024
+RETAINED_LIMIT = 1.45 * 1024 * 1024
 
 
 def _sum_chain(n):
@@ -49,5 +51,17 @@ def test_free_variables_of_a_long_function_body_in_linear_memory():
 
 
 def test_deep_sum_chain_compiles_through_hoisting():
-    stages = compile_stages(_sum_chain(2000), stop_after=Stage.HOIST)
+    # About 22,000 nodes of the four stages stay alive together.  Kept in
+    # slots, without a __dict__ each, they retain about 1.2 MB (1.7 MB with
+    # a __dict__).  Garbage cycles are collected first, so that what was
+    # run before does not change the figure.
+    t = _sum_chain(2000)
+    tracemalloc.start()
+    try:
+        stages = compile_stages(t, stop_after=Stage.HOIST)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     assert Stage.HOIST in stages
+    assert retained < RETAINED_LIMIT, f"stages retain {retained / 2**20:.2f} MB"

@@ -100,6 +100,13 @@ class TestCli:
         path = self._write(tmp_path, "(fix f (x:nat):nat. f x) 0")
         assert self._run(["run", path, "--fuel", "50"]) == 1
 
+    def test_too_deep_input_is_user_error(self, tmp_path, capsys):
+        path = self._write(tmp_path, " + ".join(["1"] * 5000))
+        assert self._run(["run", path, "--stage", "cg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input nests too deeply")
+        assert err.count("\n") == 1
+
     def test_trace_prints_numbered_steps(self, tmp_path, capsys):
         path = self._write(tmp_path, "pred (pred 2)")
         assert self._run(["trace", path, "--max-steps", "10"]) == 0

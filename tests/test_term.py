@@ -2,6 +2,7 @@
 substitution and the s-expression round trip, plus deep terms."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -82,7 +83,8 @@ NODES = [
 def test_every_node_roundtrips_and_is_a_dataclass(base, cls):
     """Built from its own description (an atom of its IR for each child),
     each node reads back as itself, and dataclasses.fields and replace, which
-    the benchmark's node count and the shrinker use, see the same fields."""
+    the benchmark's node count and the shrinker use, see the same fields.
+    The node is slot-backed and behaves as a frozen dataclass would."""
     atom = next(iter(base._atoms.values()))
     args = {f: atom for f, _ in cls._children}
     args.update({f: 2 for f in cls._data})
@@ -96,6 +98,21 @@ def test_every_node_roundtrips_and_is_a_dataclass(base, cls):
     assert back == t and type(back) is cls
     assert {f.name for f in dataclasses.fields(t)} == set(args)
     assert dataclasses.replace(t) == t
+    assert not hasattr(t, "__dict__") and t._fv is None
+    names = [f.name for f in dataclasses.fields(t)]
+    values = tuple(getattr(t, f) for f in names)
+    assert hash(t) == hash(values)
+    shown = ", ".join(f"{f}={v!r}" for f, v in zip(names, values))
+    assert repr(t) == f"{cls.__name__}({shown})"
+    for f in names + ["_fv"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, f, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(t, f)
+    assert pickle.loads(pickle.dumps(t)) == t
+    for _, other in NODES:
+        if [f.name for f in dataclasses.fields(other)] == names:
+            assert other.__init__ is cls.__init__
 
 
 @pytest.mark.parametrize("var, to_sexpr, from_sexpr, t", SAMPLES, ids=SAMPLE_IDS)

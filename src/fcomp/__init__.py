@@ -22,8 +22,8 @@ from .cc_lang import (
     CCTerm, CCType, HoistedProgram, eval_cc, eval_hoisted, step_cc,
     typecheck_cc, typecheck_hoisted,
 )
-from .cc_pass import cc_program, cc_transform, combine, fvars, map_env, map_var
-from .hoist_pass import abstract_fn, hcombine, hoist
+from .cc_pass import cc_program, cc_transform, fvars, map_env, map_var
+from .hoist_pass import abstract_fn, hoist
 from .cg_lang import (
     CgProgram, CgTerm, MemState, allocate, eval_cg_program, heap_lookup,
     heap_update, step_cg,

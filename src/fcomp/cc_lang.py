@@ -217,13 +217,14 @@ def closure_call_arg(t: COpen):
 # Typing
 
 
-def typecheck_cc(ctx, t: CCTerm) -> CCType:
+def typecheck_cc(ctx, t: CCTerm, ans: CCType = None) -> CCType:
     """Infer the type of t.
 
     Open follows the closure-elimination rule with a fresh rigid
-    environment type per open.
+    environment type per open.  ans, when given, is the answer type of a
+    closure-converted CPS term: the result type of every closure.
     """
-    inf = _Inference()
+    inf = _Inference(ans)
     return inf.finish(inf.infer(list(ctx), t))
 
 
@@ -243,8 +244,8 @@ class _Inference(Inference):
 
     nat, unit, prod, arrow = CC_NAT, CC_UNIT, CCProd, CodeArrow
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, ans=None):
+        super().__init__(ans)
         self.rigids = []
         self.code_ctx = []
 
@@ -270,7 +271,7 @@ class _Inference(Inference):
             if fv:
                 raise NonEmptyClosureContext(fv)
             tcode = self.infer(list(self.code_ctx), t.code)
-            t1, t2, te = u.fresh(), u.fresh(), u.fresh()
+            t1, t2, te = u.fresh(), self.result(), u.fresh()
             pattern = CodeArrow(CCProd(ClosArrow(t1, t2), CCProd(t1, te)), t2)
             try:
                 u.unify(tcode, pattern)
@@ -279,7 +280,7 @@ class _Inference(Inference):
             self.check(ctx, t.env, te)
             return ClosArrow(t1, t2)
         if isinstance(t, COpen):
-            t1, t2 = u.fresh(), u.fresh()
+            t1, t2 = u.fresh(), self.result()
             self.check(ctx, t.scrutinee, ClosArrow(t1, t2))
             tag = len(self.rigids) + 1
             self.rigids.append(tag)
@@ -316,14 +317,14 @@ def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
 # Hoisted programs
 
 
-def typecheck_hoisted(p: HoistedProgram) -> CCType:
+def typecheck_hoisted(p: HoistedProgram, ans: CCType = None) -> CCType:
     """Type every listed function in the empty context, then the body.
 
     Inside the body, closure code parts may mention the top-level function
     binders (stubs applied to dependency tuples); those are the only names
-    the closed-code check admits there.
+    the closed-code check admits there.  ans is as for ``typecheck_cc``.
     """
-    inf = _Inference()
+    inf = _Inference(ans)
     ctx = []
     for binder, fn in zip(p.binders, p.functions):
         fv = free_vars(fn)

@@ -26,32 +26,29 @@ from .source_lang import (
 from .term import all_names, children
 
 
-def combine(a, b):
-    """Merge duplicate-free lists: a's elements not in b, in order, then b."""
-    return [x for x in a if x not in b] + list(b)
-
-
 def fvars(t: SrcTerm, candidates, bound=frozenset()):
-    """The candidates occurring free in t, duplicate-free, in combine order;
-    candidates is any container of names, e.g. cc_transform's scope."""
-    bound = set(bound)
+    """The candidates occurring free in t, duplicate-free, ordered by their
+    last free occurrence read left to right; candidates is any container of
+    names, e.g. cc_transform's scope."""
+    occurrences = []
+    _free_occurrences(t, candidates, set(bound), occurrences)
+    return list(dict.fromkeys(reversed(occurrences)))[::-1]
 
-    def go(t):
-        if isinstance(t, Var):
-            if t.name in bound:
-                return []
-            if t.name in candidates:
-                return [t.name]
+
+def _free_occurrences(t, candidates, bound, out):
+    """Append the names of t's free variables to out, left to right."""
+    if isinstance(t, Var):
+        if t.name in bound:
+            return
+        if t.name not in candidates:
             raise UntrackedVariable(t.name)
-        out = []
-        for _, c, scope in children(t):
-            added = [b for b in scope if b not in bound]
-            bound.update(added)
-            out = combine(out, go(c))
-            bound.difference_update(added)
-        return out
-
-    return go(t)
+        out.append(t.name)
+        return
+    for _, c, scope in children(t):
+        added = [b for b in scope if b not in bound]
+        bound.update(added)
+        _free_occurrences(c, candidates, bound, out)
+        bound.difference_update(added)
 
 
 def map_env(fvs, rho) -> CCTerm:
@@ -87,73 +84,77 @@ def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
     restores the outer image, and a Fix body gets a new scope built from
     the closure's environment.  The caller's rho is never changed.
     """
+    return _cc(dict(rho), t, fresh)
 
-    def go(rho, t):
-        if isinstance(t, NatLit):
-            return CNat(t.n)
-        if isinstance(t, UnitLit):
-            return CC_UNITVAL
-        if isinstance(t, Var):
-            if t.name not in rho:
-                raise MissingMapping(t.name)
-            return rho[t.name]
-        if isinstance(t, Pred):
-            return CPred(go(rho, t.arg))
-        if isinstance(t, Fst):
-            return CFst(go(rho, t.arg))
-        if isinstance(t, Snd):
-            return CSnd(go(rho, t.arg))
-        if isinstance(t, Plus):
-            return CPlus(go(rho, t.l), go(rho, t.r))
-        if isinstance(t, Pair):
-            return CPair(go(rho, t.l), go(rho, t.r))
-        if isinstance(t, Ifz):
-            return CIfz(go(rho, t.cond), go(rho, t.zbranch), go(rho, t.nzbranch))
-        if isinstance(t, Let):
-            bound = go(rho, t.bound)
-            y = fresh.fresh("x")
-            outer = rho.get(t.binder)
-            rho[t.binder] = CVar(y)
-            body = go(rho, t.body)
-            if outer is None:
-                del rho[t.binder]
-            else:
-                rho[t.binder] = outer
-            return CLet(bound, y, body)
-        if isinstance(t, Fix):
-            fvs = fvars(t, rho)
-            env = map_env(fvs, rho)
-            p = fresh.fresh("p")
-            g = fresh.fresh("g")
-            y = fresh.fresh("x")
-            e = fresh.fresh("e")
-            scope = dict(map_var(fvs)(CVar(e)))
-            scope[t.selfbinder] = CVar(g)
-            scope[t.argbinder] = CVar(y)
-            body = go(scope, t.body)
-            code = CAbs(
-                p,
+
+def _cc(rho, t, fresh):
+    if isinstance(t, NatLit):
+        return CNat(t.n)
+    if isinstance(t, UnitLit):
+        return CC_UNITVAL
+    if isinstance(t, Var):
+        if t.name not in rho:
+            raise MissingMapping(t.name)
+        return rho[t.name]
+    if isinstance(t, Pred):
+        return CPred(_cc(rho, t.arg, fresh))
+    if isinstance(t, Fst):
+        return CFst(_cc(rho, t.arg, fresh))
+    if isinstance(t, Snd):
+        return CSnd(_cc(rho, t.arg, fresh))
+    if isinstance(t, Plus):
+        return CPlus(_cc(rho, t.l, fresh), _cc(rho, t.r, fresh))
+    if isinstance(t, Pair):
+        return CPair(_cc(rho, t.l, fresh), _cc(rho, t.r, fresh))
+    if isinstance(t, Ifz):
+        return CIfz(
+            _cc(rho, t.cond, fresh),
+            _cc(rho, t.zbranch, fresh),
+            _cc(rho, t.nzbranch, fresh),
+        )
+    if isinstance(t, Let):
+        bound = _cc(rho, t.bound, fresh)
+        y = fresh.fresh("x")
+        outer = rho.get(t.binder)
+        rho[t.binder] = CVar(y)
+        body = _cc(rho, t.body, fresh)
+        if outer is None:
+            del rho[t.binder]
+        else:
+            rho[t.binder] = outer
+        return CLet(bound, y, body)
+    if isinstance(t, Fix):
+        fvs = fvars(t, rho)
+        env = map_env(fvs, rho)
+        p = fresh.fresh("p")
+        g = fresh.fresh("g")
+        y = fresh.fresh("x")
+        e = fresh.fresh("e")
+        scope = dict(map_var(fvs)(CVar(e)))
+        scope[t.selfbinder] = CVar(g)
+        scope[t.argbinder] = CVar(y)
+        body = _cc(scope, t.body, fresh)
+        code = CAbs(
+            p,
+            CLet(
+                CFst(CVar(p)),
+                g,
                 CLet(
-                    CFst(CVar(p)),
-                    g,
-                    CLet(
-                        CFst(CSnd(CVar(p))),
-                        y,
-                        CLet(CSnd(CSnd(CVar(p))), e, body),
-                    ),
+                    CFst(CSnd(CVar(p))),
+                    y,
+                    CLet(CSnd(CSnd(CVar(p))), e, body),
                 ),
-            )
-            return CClos(code, env)
-        if isinstance(t, App):
-            fn = go(rho, t.fn)
-            arg = go(rho, t.arg)
-            g = fresh.fresh("g")
-            xf = fresh.fresh("f")
-            xe = fresh.fresh("e")
-            return CLet(fn, g, closure_call(CVar(g), xf, xe, arg))
-        raise TypeError(t)
-
-    return go(dict(rho), t)
+            ),
+        )
+        return CClos(code, env)
+    if isinstance(t, App):
+        fn = _cc(rho, t.fn, fresh)
+        arg = _cc(rho, t.arg, fresh)
+        g = fresh.fresh("g")
+        xf = fresh.fresh("f")
+        xe = fresh.fresh("e")
+        return CLet(fn, g, closure_call(CVar(g), xf, xe, arg))
+    raise TypeError(t)
 
 
 def cc_program(t: SrcTerm) -> CCTerm:

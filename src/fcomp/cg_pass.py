@@ -189,19 +189,20 @@ def cgen_fn(f: CCTerm, fresh: FreshSupply) -> CgTerm:
     """Compile a hoisted function Abs l. (dependency lets) Abs x. body."""
     if not isinstance(f, CAbs):
         raise UnsupportedShape("hoisted function must be an abstraction")
+    return GAbs(f.binder, _cgen_wrapper(f.body, fresh))
 
-    def compile_wrapper(w: CCTerm) -> CgTerm:
-        if isinstance(w, CAbs):
-            return GAbs(w.binder, cgen_stmt(w.body, identity_cgkont(), fresh))
-        if isinstance(w, CLet):
 
-            def kl(v):
-                return compile_wrapper(subst({w.binder: v}, w.body))
+def _cgen_wrapper(w: CCTerm, fresh: FreshSupply) -> CgTerm:
+    """Compile the dependency lets and the inner abstraction of a function."""
+    if isinstance(w, CAbs):
+        return GAbs(w.binder, cgen_stmt(w.body, identity_cgkont(), fresh))
+    if isinstance(w, CLet):
 
-            return cgen_stmt(w.bound, CgKont(kl), fresh)
-        raise UnsupportedShape("hoisted function body must end in an abstraction")
+        def kl(v):
+            return _cgen_wrapper(subst({w.binder: v}, w.body), fresh)
 
-    return GAbs(f.binder, compile_wrapper(f.body))
+        return cgen_stmt(w.bound, CgKont(kl), fresh)
+    raise UnsupportedShape("hoisted function body must end in an abstraction")
 
 
 def cgen_program(p: HoistedProgram) -> CgProgram:

@@ -10,13 +10,11 @@ import argparse
 import os
 import sys
 
-from . import cg_lang, pipeline, source_lang, surface
+from . import pipeline, source_lang, surface
 from .errors import FcompError
 from .harness import GenConfig, check_preservation, format_report, fuzz
 from .pipeline import Stage
-from .sexpr import render
 from .source_lang import Outcome
-from .term import program_body, to_sexpr
 
 
 def _read_file(path):
@@ -60,7 +58,7 @@ def cmd_run(args):
     artifact = pipeline.compile(term, stage)
     outcome, heap = pipeline.run(artifact, args.fuel)
     if outcome.kind is Outcome.VALUE:
-        print(f"Value {_show_value(artifact.stage, outcome.value)} "
+        print(f"Value {pipeline.STAGES[stage].show(outcome.value)} "
               f"(steps: {outcome.steps})")
         if heap is not None:
             print(f"heap cells: {heap}")
@@ -69,46 +67,20 @@ def cmd_run(args):
     return 1
 
 
-def _show_value(stage, v):
-    if stage in (Stage.SOURCE, Stage.CPS):
-        return surface.print_source(v)
-    return render(to_sexpr(v))
-
-
 def cmd_trace(args):
     term = surface.parse_source(_read_file(args.file))
     stage = _parse_stage(args.stage)
-    artifact = pipeline.compile(term, stage)
-    payload = artifact.payload
-    if stage is Stage.CG:
-        stepper = _cg_stepper(payload)
-    else:
-        if stage is Stage.HOIST:
-            payload = program_body(payload)
-        stepper = _stepper(payload, lambda t: _show_value(stage, t))
-    for i, line in enumerate(stepper):
-        print(f"{i}: {line}")
+    ops = pipeline.STAGES[stage]
+    state = ops.start(pipeline.compile(term, stage).payload)
+    i = 0
+    while state is not None:
+        print(f"{i}: {ops.show_state(state)}")
         if i >= args.max_steps:
             print("...")
             break
+        state = ops.step(state)
+        i += 1
     return 0
-
-
-def _stepper(t, show):
-    while t is not None:
-        yield show(t)
-        t = source_lang.step_src(t)
-
-
-def _cg_stepper(p):
-    body = program_body(p)
-    mem = cg_lang.MemState()
-    while True:
-        yield f"[next_free={mem.next_free}] " + render(to_sexpr(body))
-        r = cg_lang.step_cg(mem, body)
-        if r is None:
-            return
-        mem, body = r
 
 
 def cmd_fuzz(args):

@@ -15,16 +15,17 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import cc_lang, cg_lang, source_lang as src
+from .cc_lang import CC_NAT
 from .cg_lang import check_program_operand_form
 from .errors import ArrowTypeUnsupported, FcompError
 from .hoist_pass import check_abs_flat
-from .pipeline import Stage, compile_stages, result_nat, run
+from .pipeline import STAGE_ORDER, STAGES, Stage, compile_stages, result_nat, run
 from .sexpr import render, src_to_sexpr
 from .source_lang import (
     App, Fix, Ifz, Let, NatLit, Outcome, Pair, Plus, Pred, SrcTerm, Var,
-    eval_src, is_value, step_src, typecheck_src, NAT, UNIT, TArrow, TProd,
+    eval_src, typecheck_src, NAT, UNIT, TArrow, TProd,
 )
-from .term import children, free_vars, program_body
+from .term import children, free_vars
 
 
 @dataclass(frozen=True)
@@ -208,15 +209,16 @@ def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
         fail("compile", "pipeline success", repr(e))
         return report
 
-    # (a) Types are preserved stage by stage.  The typecheckers are looked up
-    # when called, so that rebinding a module's name (to trace it) holds.
+    # (a) Types are preserved stage by stage, every CPS function and closure
+    # answering nat.  The typecheckers are looked up when called, so that
+    # rebinding a module's name (to trace it) holds.
     cps_t, cc_t, hoisted = (
         stages[s].payload for s in (Stage.CPS, Stage.CC, Stage.HOIST)
     )
     for label, typecheck, expected in (
-        ("cps-type", lambda: typecheck_src([], cps_t), NAT),
-        ("cc-type", lambda: cc_lang.typecheck_cc([], cc_t), cc_lang.CC_NAT),
-        ("hoist-type", lambda: cc_lang.typecheck_hoisted(hoisted), cc_lang.CC_NAT),
+        ("cps-type", lambda: typecheck_src([], cps_t, NAT), NAT),
+        ("cc-type", lambda: cc_lang.typecheck_cc([], cc_t, CC_NAT), CC_NAT),
+        ("hoist-type", lambda: cc_lang.typecheck_hoisted(hoisted, CC_NAT), CC_NAT),
     ):
         try:
             ty = typecheck()
@@ -274,38 +276,26 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
     if not check_program_operand_form(cg_p):
         fail("cg-shape", "constant-or-variable operands", cg_p)
 
-    # Determinism along traces: values never step and re-stepping agrees.
+    # Determinism along each stage's machine: values never step and
+    # re-stepping agrees.
     budget = min(fuel, 300)
-    for stage, term in (("src-step", t), ("src-step", cps_t),
-                        ("cc-step", cc_t), ("cc-step", program_body(hoisted))):
+    for stage in STAGE_ORDER:
+        ops = STAGES[stage]
+        state = ops.start(stages[stage].payload)
         for _ in range(budget):
-            if is_value(term):
-                if step_src(term) is not None:
-                    fail(stage, "values do not step", term)
+            term = state[1]
+            if ops.is_value(term):
+                if ops.step(state) is not None:
+                    fail(ops.step_label, "values do not step", term)
                 break
-            n1, n2 = step_src(term), step_src(term)
+            n1, n2 = ops.step(state), ops.step(state)
             if n1 != n2:
-                fail(stage, "deterministic step", term)
+                fail(ops.step_label, "deterministic step", term)
                 break
             if n1 is None:
-                fail(stage, "progress", term)
+                fail(ops.step_label, "progress", term)
                 break
-            term = n1
-
-    mem = cg_lang.MemState()
-    gterm = program_body(cg_p)
-    for _ in range(budget):
-        if cg_lang.cg_is_value(gterm):
-            break
-        r1 = cg_lang.step_cg(mem, gterm)
-        r2 = cg_lang.step_cg(mem, gterm)
-        if r1 != r2:
-            fail("cg-step", "deterministic step", gterm)
-            break
-        if r1 is None:
-            fail("cg-step", "progress", gterm)
-            break
-        mem, gterm = r1
+            state = n1
     return report
 
 

@@ -4,12 +4,13 @@ Every abstraction in a closure-converted term is lifted to a top-level
 function list.  A lifted function is closed by abstracting it over a tuple
 of the functions its body depends on; the abstraction's original position
 is filled by a stub applying the new top-level binder to that tuple.
+
+The lifted functions are appended to one list as they are extracted; it is
+the program's function list, and a body depends on the functions appended
+while it was walked.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Tuple
 
 from .cc_lang import (
     CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred,
@@ -21,42 +22,29 @@ from .fresh import FreshSupply
 from .term import all_names, children, free_vars
 
 
-@dataclass(frozen=True)
-class HoistedBody:
-    """A term abstracted over a prefix of extracted-function binders."""
-
-    binders: Tuple[str, ...]
-    term: CCTerm
-
-
-def hcombine(parts, builder) -> HoistedBody:
-    """Concatenate the parts' binder prefixes and rebuild over their bodies."""
-    binders = tuple(b for part in parts for b in part.binders)
-    return HoistedBody(binders, builder(*[part.term for part in parts]))
-
-
-def abstract_fn(arg: str, inner: HoistedBody):
+def abstract_fn(arg: str, body: CCTerm, deps):
     """Close a hoisted function body over its extracted dependencies.
 
-    Returns the closed function Abs l. let f1 = pi1 l in ... Abs arg. body
-    together with the tuple the stub must apply it to (the dependency
-    binders as a unit-ended tuple).
+    deps are the binders of the functions extracted from the body, in
+    extraction order.  Returns the closed function
+    Abs l. let f1 = pi1 l in ... Abs arg. body together with the tuple the
+    stub must apply it to (the dependency binders as a unit-ended tuple).
     """
     l = "_l"
-    avoid = all_names(inner.term) | set(inner.binders) | {arg}
+    avoid = all_names(body) | set(deps) | {arg}
     while l in avoid:
         l = "_" + l
-    body = CAbs(arg, inner.term)
+    body = CAbs(arg, body)
     probe = CVar(l)
     lets = []
-    for f in inner.binders:
+    for f in deps:
         lets.append((f, CFst(probe)))
         probe = CSnd(probe)
     for f, proj in reversed(lets):
         body = CLet(proj, f, body)
     closed_fn = CAbs(l, body)
     tup = CC_UNITVAL
-    for f in reversed(inner.binders):
+    for f in reversed(deps):
         tup = CPair(CVar(f), tup)
     return closed_fn, tup
 
@@ -68,63 +56,63 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
     funcs = []
     # One scope for the whole walk: a binder is added for its body only if
     # it is not in scope already, and removed again only if added here.
-    bound = set(bound)
-
-    def go(t) -> HoistedBody:
-        if isinstance(t, (CNat, CUnit)):
-            return HoistedBody((), t)
-        if isinstance(t, CVar):
-            if t.name not in bound:
-                raise UnsupportedShape(f"free variable {t.name} in hoisting input")
-            return HoistedBody((), t)
-        if isinstance(t, (CPred, CFst, CSnd, CPlus, CPair, CApp, CClos, CIfz)):
-            parts = []
-            for _, c, _ in children(t):
-                parts.append(go(c))
-            return hcombine(parts, type(t))
-        if isinstance(t, CLet):
-            p1 = go(t.bound)
-            mark = len(funcs)
-            added = t.binder not in bound
-            bound.add(t.binder)
-            p2 = go(t.body)
-            if added:
-                bound.remove(t.binder)
-            _check_escape(t.binder, funcs, mark)
-            return hcombine([p1, p2], lambda a, b: CLet(a, t.binder, b))
-        if isinstance(t, COpen):
-            m2 = closure_call_arg(t)
-            if m2 is None:
-                raise UnsupportedShape(
-                    "open not in closure-application form cannot be hoisted"
-                )
-            mark = len(funcs)
-            p1 = go(t.scrutinee)
-            p2 = go(m2)
-            _check_escape(t.fbinder, funcs, mark)
-            _check_escape(t.ebinder, funcs, mark)
-            return hcombine(
-                [p1, p2], lambda m1, m2: closure_call(m1, t.fbinder, t.ebinder, m2)
-            )
-        if isinstance(t, CAbs):
-            mark = len(funcs)
-            added = t.binder not in bound
-            bound.add(t.binder)
-            inner = go(t.body)
-            if added:
-                bound.remove(t.binder)
-            _check_escape(t.binder, funcs, mark)
-            closed_fn, tup = abstract_fn(t.binder, inner)
-            g = fresh.fresh("g")
-            funcs.append((g, closed_fn))
-            return HoistedBody(inner.binders + (g,), CApp(CVar(g), tup))
-        raise TypeError(t)
-
-    result = go(t)
-    fn_map = dict(funcs)
+    body = _hoist(t, set(bound), funcs, fresh)
     return HoistedProgram(
-        result.binders, tuple(fn_map[b] for b in result.binders), result.term
+        tuple(g for g, _ in funcs), tuple(fn for _, fn in funcs), body
     )
+
+
+def _hoist(t, bound, funcs, fresh):
+    """t with every Abs replaced by its stub.  The functions extracted from
+    t are appended to funcs as (binder, function) pairs, so the functions
+    extracted since funcs[mark] are those of the subterm walked since."""
+    if isinstance(t, (CNat, CUnit)):
+        return t
+    if isinstance(t, CVar):
+        if t.name not in bound:
+            raise UnsupportedShape(f"free variable {t.name} in hoisting input")
+        return t
+    if isinstance(t, (CPred, CFst, CSnd, CPlus, CPair, CApp, CClos, CIfz)):
+        parts = []
+        for _, c, _ in children(t):
+            parts.append(_hoist(c, bound, funcs, fresh))
+        return type(t)(*parts)
+    if isinstance(t, CLet):
+        m1 = _hoist(t.bound, bound, funcs, fresh)
+        mark = len(funcs)
+        added = t.binder not in bound
+        bound.add(t.binder)
+        m2 = _hoist(t.body, bound, funcs, fresh)
+        if added:
+            bound.remove(t.binder)
+        _check_escape(t.binder, funcs, mark)
+        return CLet(m1, t.binder, m2)
+    if isinstance(t, COpen):
+        m2 = closure_call_arg(t)
+        if m2 is None:
+            raise UnsupportedShape(
+                "open not in closure-application form cannot be hoisted"
+            )
+        mark = len(funcs)
+        m1 = _hoist(t.scrutinee, bound, funcs, fresh)
+        m2 = _hoist(m2, bound, funcs, fresh)
+        _check_escape(t.fbinder, funcs, mark)
+        _check_escape(t.ebinder, funcs, mark)
+        return closure_call(m1, t.fbinder, t.ebinder, m2)
+    if isinstance(t, CAbs):
+        mark = len(funcs)
+        added = t.binder not in bound
+        bound.add(t.binder)
+        body = _hoist(t.body, bound, funcs, fresh)
+        if added:
+            bound.remove(t.binder)
+        _check_escape(t.binder, funcs, mark)
+        deps = [g for g, _ in funcs[mark:]]
+        closed_fn, tup = abstract_fn(t.binder, body, deps)
+        g = fresh.fresh("g")
+        funcs.append((g, closed_fn))
+        return CApp(CVar(g), tup)
+    raise TypeError(t)
 
 
 def _check_escape(binder, funcs, mark):

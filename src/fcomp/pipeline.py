@@ -1,9 +1,10 @@
-"""The composed compile driver and per-stage dispatch."""
+"""The composed compile driver and the table of what each stage provides."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from . import cc_lang, cg_lang, sexpr, source_lang, surface
 from .cc_pass import cc_program
@@ -12,6 +13,7 @@ from .cps import cps_program
 from .errors import FcompError
 from .hoist_pass import hoist
 from .source_lang import EvalOutcome
+from .term import program_body, to_sexpr
 
 
 class Stage(enum.Enum):
@@ -71,19 +73,73 @@ def compile(t: source_lang.SrcTerm, stop_after: Stage = Stage.CG) -> StageArtifa
     return compile_stages(t, stop_after)[stop_after]
 
 
+def _step_term(state):
+    t = source_lang.step_src(state[1])
+    return None if t is None else (None, t)
+
+
+@dataclass(frozen=True)
+class StageOps:
+    """One stage's evaluator, s-expression printer and reader, term printer
+    and small-step machine, whose state is a pair (heap, term): the heap is a
+    ``cg_lang.MemState`` at cg and None elsewhere.  The evaluators look their
+    functions up when called, so that one rebound in its module (a tracing
+    wrapper) is the one that runs."""
+
+    evaluate: Callable  # (payload, fuel) -> (EvalOutcome, heap cells or None)
+    to_sexpr: Callable  # payload -> s-expression
+    from_sexpr: Callable  # s-expression -> payload
+    step_label: str  # names a failed check of the machine
+    start: Callable = lambda p: (None, p)  # payload -> machine state
+    step: Callable = _step_term  # machine state -> machine state, or None
+    is_value: Callable = source_lang.is_value  # term -> bool
+    concrete: bool = False  # terms print and read in the surface syntax
+
+    def show(self, t) -> str:
+        """A term of this stage as text."""
+        return surface.print_source(t) if self.concrete else sexpr.render(to_sexpr(t))
+
+    def show_state(self, state) -> str:
+        heap, t = state
+        prefix = "" if heap is None else f"[next_free={heap.next_free}] "
+        return prefix + self.show(t)
+
+
+def _eval_cg(p, fuel):
+    outcome, mem = cg_lang.eval_cg_program(p, fuel)
+    return outcome, mem.next_free
+
+
+# Source and cps terms share one language.
+_SOURCE = StageOps(
+    lambda p, fuel: (source_lang.eval_src(p, fuel), None),
+    sexpr.src_to_sexpr, sexpr.src_from_sexpr, "src-step", concrete=True,
+)
+STAGES = {
+    Stage.SOURCE: _SOURCE,
+    Stage.CPS: _SOURCE,
+    Stage.CC: StageOps(
+        lambda p, fuel: (cc_lang.eval_cc(p, fuel), None),
+        sexpr.cc_to_sexpr, sexpr.cc_from_sexpr, "cc-step",
+    ),
+    Stage.HOIST: StageOps(
+        lambda p, fuel: (cc_lang.eval_hoisted(p, fuel), None),
+        sexpr.hoisted_to_sexpr, sexpr.hoisted_from_sexpr, "cc-step",
+        start=lambda p: (None, program_body(p)),
+    ),
+    Stage.CG: StageOps(
+        _eval_cg, sexpr.cg_program_to_sexpr, sexpr.cg_program_from_sexpr,
+        "cg-step",
+        start=lambda p: (cg_lang.MemState(), program_body(p)),
+        step=lambda state: cg_lang.step_cg(*state),
+        is_value=cg_lang.cg_is_value,
+    ),
+}
+
+
 def run(artifact: StageArtifact, fuel: int):
     """Evaluate a stage artifact; returns (EvalOutcome, heap cell count or None)."""
-    stage, payload = artifact.stage, artifact.payload
-    if stage in (Stage.SOURCE, Stage.CPS):
-        return source_lang.eval_src(payload, fuel), None
-    if stage is Stage.CC:
-        return cc_lang.eval_cc(payload, fuel), None
-    if stage is Stage.HOIST:
-        return cc_lang.eval_hoisted(payload, fuel), None
-    if stage is Stage.CG:
-        outcome, mem = cg_lang.eval_cg_program(payload, fuel)
-        return outcome, mem.next_free
-    raise ValueError(stage)
+    return STAGES[artifact.stage].evaluate(artifact.payload, fuel)
 
 
 def result_nat(outcome: EvalOutcome):
@@ -95,39 +151,20 @@ def result_nat(outcome: EvalOutcome):
 
 
 def emit_sexp(artifact: StageArtifact) -> str:
-    stage, payload = artifact.stage, artifact.payload
-    if stage in (Stage.SOURCE, Stage.CPS):
-        e = sexpr.src_to_sexpr(payload)
-    elif stage is Stage.CC:
-        e = sexpr.cc_to_sexpr(payload)
-    elif stage is Stage.HOIST:
-        e = sexpr.hoisted_to_sexpr(payload)
-    elif stage is Stage.CG:
-        e = sexpr.cg_program_to_sexpr(payload)
-    else:
-        raise ValueError(stage)
-    return sexpr.render(e)
+    return sexpr.render(STAGES[artifact.stage].to_sexpr(artifact.payload))
 
 
 def emit_pretty(artifact: StageArtifact) -> str:
-    stage, payload = artifact.stage, artifact.payload
-    if stage in (Stage.SOURCE, Stage.CPS):
-        return surface.print_source(payload)
-    return emit_sexp(artifact)
+    """The surface syntax where the stage has it, else the s-expression."""
+    ops = STAGES[artifact.stage]
+    return ops.show(artifact.payload) if ops.concrete else emit_sexp(artifact)
 
 
 def parse_stage_artifact(stage: Stage, text: str) -> StageArtifact:
-    if stage in (Stage.SOURCE, Stage.CPS):
+    ops = STAGES[stage]
+    if ops.concrete:
         try:
-            payload = surface.parse_source(text)
+            return StageArtifact(stage, surface.parse_source(text))
         except FcompError:
-            payload = sexpr.src_from_sexpr(sexpr.read_sexpr(text))
-    elif stage is Stage.CC:
-        payload = sexpr.cc_from_sexpr(sexpr.read_sexpr(text))
-    elif stage is Stage.HOIST:
-        payload = sexpr.hoisted_from_sexpr(sexpr.read_sexpr(text))
-    elif stage is Stage.CG:
-        payload = sexpr.cg_program_from_sexpr(sexpr.read_sexpr(text))
-    else:
-        raise ValueError(stage)
-    return StageArtifact(stage, payload)
+            pass
+    return StageArtifact(stage, ops.from_sexpr(sexpr.read_sexpr(text)))

@@ -163,14 +163,16 @@ UNITVAL = UnitLit()
 # Typing
 
 
-def typecheck_src(ctx, t: SrcTerm) -> SrcType:
+def typecheck_src(ctx, t: SrcTerm, ans: SrcType = None) -> SrcType:
     """Infer the type of t under ctx (a list of (name, type) pairs).
 
     Annotations missing from fix binders are filled in by monomorphic
     unification.  The returned type must come out ground; interior types
     that stay unconstrained (e.g. an ignored argument) are tolerated.
+    ans, when given, is the answer type of a CPS term: the result type of
+    every fix without a result annotation.
     """
-    inf = Inference()
+    inf = Inference(ans)
     return inf.finish(inf.infer(list(ctx), t))
 
 
@@ -185,12 +187,18 @@ class Inference:
     """One typing run: a unifier, the typing rules shared with the
     closure-converted language and the ``fix`` rule.  The class attributes
     are the types the rules build; a subclass sets its own and types its
-    own constructors in ``infer_other``."""
+    own constructors in ``infer_other``.  ``ans`` is the answer type, or
+    None when functions may return any type."""
 
     nat, unit, prod, arrow = NAT, UNIT, TProd, TArrow
 
-    def __init__(self):
+    def __init__(self, ans=None):
         self.u = Unifier()
+        self.ans = ans
+
+    def result(self):
+        """The result type of a function with no result annotation."""
+        return self.ans if self.ans is not None else self.u.fresh()
 
     def finish(self, ty):
         """ty with every solved variable substituted; it must be ground."""
@@ -249,7 +257,7 @@ class Inference:
                 ctx.pop()
         if h == "fix":
             t1 = t.argty if t.argty is not None else u.fresh()
-            t2 = t.retty if t.retty is not None else u.fresh()
+            t2 = t.retty if t.retty is not None else self.result()
             arrow = self.arrow(t1, t2)
             ctx.append((t.selfbinder, arrow))
             ctx.append((t.argbinder, t1))

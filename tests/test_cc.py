@@ -10,7 +10,7 @@ from fcomp.cc_lang import (
 from fcomp.term import alpha_eq as cc_alpha_eq
 from fcomp.term import free_vars as cc_free_vars
 from fcomp.term import subst as cc_subst
-from fcomp.cc_pass import cc_program, cc_transform, combine, fvars, map_env, map_var
+from fcomp.cc_pass import cc_program, cc_transform, fvars, map_env, map_var
 from fcomp.errors import (
     MissingMapping, NonEmptyClosureContext, RigidEscape, TypeCheckError,
     UntrackedVariable,
@@ -30,11 +30,6 @@ def cc_result_nat(t, fuel=100_000):
 
 
 class TestHelpers:
-    def test_combine_keeps_left_novelty_then_right(self):
-        assert combine([1, 2, 3], [2, 4]) == [1, 3, 2, 4]
-        assert combine([], [1]) == [1]
-        assert combine([1], []) == [1]
-
     def test_fvars_orders_by_combine(self):
         t = Plus(Var("a"), Plus(Var("b"), Var("a")))
         assert fvars(t, ["a", "b"]) == ["b", "a"]

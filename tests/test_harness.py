@@ -2,7 +2,7 @@
 
 import pytest
 
-from fcomp.errors import ArrowTypeUnsupported
+from fcomp.errors import ArrowTypeUnsupported, UnresolvedTypeVariable
 from fcomp.harness import (
     GenConfig, ProgramGen, Report, check_invariants, check_preservation,
     equiv_fo, format_report, fuzz, gen_typed_program, shrink, sim_fo,
@@ -53,6 +53,28 @@ class TestChecks:
         assert report.cases == 20
         text = format_report(report, cfg)
         assert "failures: 0" in text
+
+
+DIVERGENT = "(fix f (x:nat):nat. f x) 0"
+
+
+class TestAnswerType:
+    """CPS and closure-converted terms are typed with one answer type, nat,
+    so a function that never returns to its continuation still checks."""
+
+    @pytest.mark.parametrize("text", [
+        DIVERGENT,
+        "(fix f (x:nat):nat. 3 + f 3) 3",  # perfbench's divergent_sum
+    ])
+    def test_divergent_programs_preserve_types(self, text):
+        report = check_preservation(parse_source(text), 200)
+        assert report.failures == []
+
+    def test_cps_result_is_unresolved_without_answer_type(self):
+        cps_t = compile_stages(parse_source(DIVERGENT), Stage.CPS)[Stage.CPS]
+        with pytest.raises(UnresolvedTypeVariable):
+            typecheck_src([], cps_t.payload)
+        assert typecheck_src([], cps_t.payload, NAT) == NAT
 
 
 class TestEquivFo:

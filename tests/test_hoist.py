@@ -8,7 +8,7 @@ from fcomp.cc_lang import (
 )
 from fcomp.cc_pass import cc_program
 from fcomp.errors import HoistEscape, UnsupportedShape
-from fcomp.hoist_pass import HoistedBody, abstract_fn, check_abs_flat, hcombine, hoist
+from fcomp.hoist_pass import abstract_fn, check_abs_flat, hoist
 from fcomp.term import free_vars as cc_free_vars
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
@@ -22,23 +22,16 @@ def hoisted_result_nat(p, fuel=100_000):
 
 
 class TestBuildingBlocks:
-    def test_hcombine_concatenates_binder_prefixes(self):
-        p1 = HoistedBody(("f1",), CNat(1))
-        p2 = HoistedBody(("f2", "f3"), CNat(2))
-        got = hcombine([p1, p2], CPlus)
-        assert got.binders == ("f1", "f2", "f3")
-        assert got.term == CPlus(CNat(1), CNat(2))
-
     def test_abstract_fn_without_dependencies(self):
-        closed, tup = abstract_fn("x", HoistedBody((), CVar("x")))
+        closed, tup = abstract_fn("x", CVar("x"), ())
         assert tup == CC_UNITVAL
         assert isinstance(closed, CAbs)
         assert closed.body == CAbs("x", CVar("x"))
         assert cc_free_vars(closed) == frozenset()
 
     def test_abstract_fn_projects_dependencies(self):
-        inner = HoistedBody(("f1", "f2"), CApp(CVar("f1"), CApp(CVar("f2"), CVar("x"))))
-        closed, tup = abstract_fn("x", inner)
+        body = CApp(CVar("f1"), CApp(CVar("f2"), CVar("x")))
+        closed, tup = abstract_fn("x", body, ["f1", "f2"])
         assert cc_free_vars(closed) == frozenset()
         assert tup == CPair(CVar("f1"), CPair(CVar("f2"), CC_UNITVAL))
         l = closed.binder
@@ -48,7 +41,7 @@ class TestBuildingBlocks:
         assert lets.bound == CFst(CVar(l))
         assert isinstance(lets.body, CLet) and lets.body.binder == "f2"
         assert lets.body.bound == CFst(CSnd(CVar(l)))
-        assert lets.body.body == CAbs("x", inner.term)
+        assert lets.body.body == CAbs("x", body)
 
 
 class TestHoist:
@@ -90,6 +83,20 @@ class TestHoist:
         t = parse_source("(fun (y:nat). (fun (z:nat). y+z) 1) 2")
         p = hoist(cc_program(t))
         assert len(p.functions) == 2
+        assert hoisted_result_nat(p) == 3
+
+    def test_dependencies_are_the_functions_extracted_from_the_body(self):
+        # The program lists functions in extraction order, and a function
+        # depends on exactly those extracted while its body was hoisted.
+        t = parse_source(
+            "let a = fun (u:nat). u in (fun (y:nat). (fun (z:nat). y+z) 1) 2"
+        )
+        p = hoist(cc_program(t))
+        first, inner, outer = p.functions
+        assert isinstance(first.body, CAbs) and isinstance(inner.body, CAbs)
+        assert isinstance(outer.body, CLet)
+        assert outer.body.binder == p.binders[1]
+        assert isinstance(outer.body.body, CAbs)
         assert hoisted_result_nat(p) == 3
 
     @pytest.mark.parametrize(

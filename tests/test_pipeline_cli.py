@@ -1,16 +1,41 @@
 """Pipeline driver and the fcomp command-line interface."""
 
+import gc
+import hashlib
+
 import pytest
 
 from fcomp.cli import main
 from fcomp.pipeline import (
-    Stage, compile, compile_stages, emit_sexp, parse_stage_artifact,
+    STAGES, Stage, compile, compile_stages, emit_sexp, parse_stage_artifact,
     result_nat, run,
 )
 from fcomp.surface import parse_source
 
 
 WORKED = "let f = fix f (x:nat):nat. x+2 in f 3"
+
+# A closure over a let-bound name, applied inside a pair.
+CLOSURE = """let y = 3 in
+let f = fix f (x:nat):nat. x + y in
+fst (f 1, 2)"""
+
+# `fcomp run` on CLOSURE at each stage, and the line count and SHA-256 of
+# `fcomp trace --max-steps 40` on it, as printed before the stage table.
+PINNED_RUN = {
+    "source": "Value 4 (steps: 5)\n",
+    "cps": "Value 4 (steps: 14)\n",
+    "cc": "Value (nat 4) (steps: 34)\n",
+    "hoist": "Value (nat 4) (steps: 36)\n",
+    "cg": "Value (nat 4) (steps: 92)\nheap cells: 16\n",
+}
+PINNED_TRACE = {
+    "source": (6, "b8539174437dc015799a58665382fc53ac9a4a3a0b681f7e5ed6f1e09ae9b3e7"),
+    "cps": (15, "91df838b7305932e22851dddbac277ce549819daa338000fb73e220b5644831d"),
+    "cc": (1830, "6f9c14844c601b309c25fd4788f27b3fad32e542962937d2717f164cb57c919e"),
+    "hoist": (1965, "f648df95187d72087035b958baf8c4de365fa149298ad798b9f0234989ddc93d"),
+    "cg": (3051, "2f9afeb35a6305c8f57d39b628285350b0a4d4da5e23a151e14843fa9e87d165"),
+}
 
 
 class TestPipeline:
@@ -42,6 +67,21 @@ class TestPipeline:
             text = emit_sexp(artifact)
             back = parse_stage_artifact(stage, text)
             assert back.payload == artifact.payload
+
+    def test_table_has_every_stage(self):
+        assert set(STAGES) == set(Stage)
+
+    def test_compile_leaves_no_reference_cycles(self):
+        # No pass keeps its state (a FreshSupply with every name of the
+        # program) alive in a cycle once it has returned.
+        t = parse_source(CLOSURE)
+        gc.collect()
+        gc.disable()
+        try:
+            compile_stages(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ill_typed_program_fails_at_cps(self):
         from fcomp.pipeline import StageError
@@ -118,6 +158,22 @@ class TestCli:
         path = self._write(tmp_path, "fst (1, 2)")
         assert self._run(["trace", path, "--stage", "cg", "--max-steps", "50"]) == 0
         assert "[next_free=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stage", sorted(PINNED_RUN))
+    def test_run_output_is_pinned(self, tmp_path, capsys, stage):
+        path = self._write(tmp_path, CLOSURE)
+        assert self._run(["run", path, "--stage", stage]) == 0
+        assert capsys.readouterr().out == PINNED_RUN[stage]
+
+    @pytest.mark.parametrize("stage", sorted(PINNED_TRACE))
+    def test_trace_output_is_pinned(self, tmp_path, capsys, stage):
+        path = self._write(tmp_path, CLOSURE)
+        argv = ["trace", path, "--stage", stage, "--max-steps", "40"]
+        assert self._run(argv) == 0
+        out = capsys.readouterr().out
+        lines, digest = PINNED_TRACE[stage]
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_fuzz_small_run_passes(self, tmp_path, capsys):
         assert self._run(["fuzz", "--count", "5", "--seed", "7",

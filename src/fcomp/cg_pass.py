@@ -25,9 +25,12 @@ from .fresh import FreshSupply
 from .term import all_names, subst
 
 
-@dataclass
+@dataclass(slots=True)
 class CgKont:
-    """Continuation over target code; receives the value slot as a CC atom."""
+    """Continuation over target code; receives the value slot as a CC atom.
+
+    Slotted, without a ``__dict__``: generation holds one continuation per
+    level of the term on the stack, thousands on a long chain."""
 
     fn: Callable[[CCTerm], CgTerm]
 
@@ -211,6 +214,7 @@ def cgen_program(p: HoistedProgram) -> CgProgram:
         avoid |= all_names(fn)
     avoid |= all_names(p.body)
     fresh = FreshSupply(avoid=avoid)
+    del avoid  # the supply holds its own copy for the whole generation
     functions = tuple(cgen_fn(f, fresh) for f in p.functions)
     body = cgen_stmt(p.body, identity_cgkont(), fresh)
     return CgProgram(p.binders, functions, body)

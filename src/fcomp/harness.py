@@ -360,29 +360,18 @@ def equiv_fo(T, i: int, v1, v2) -> bool:
     return n1 == n2
 
 
-def _eval_any(m, fuel):
-    if isinstance(m, SrcTerm):
-        return eval_src(m, fuel)
-    if isinstance(m, cc_lang.CCTerm):
-        return cc_lang.eval_cc(m, fuel)
-    if isinstance(m, cc_lang.HoistedProgram):
-        return cc_lang.eval_hoisted(m, fuel)
-    if isinstance(m, cg_lang.CgProgram):
-        return cg_lang.eval_cg_program(m, fuel)[0]
-    raise TypeError(m)
-
-
 def sim_fo(T, i: int, m1, m2, target_fuel: int = 1_000_000) -> bool:
     """Step-indexed forward simulation at first-order types.
 
-    If m1 reaches a value within i steps, m2 must evaluate to an equivalent
-    value (at the remaining index); vacuously true otherwise.
+    If the source term m1 reaches a value within i steps, the target m2 (a
+    ``StageArtifact`` of any stage) must evaluate to an equivalent value (at
+    the remaining index); vacuously true otherwise.
     """
     _check_fo(T)
     out1 = eval_src(m1, i)
     if out1.kind is not Outcome.VALUE:
         return True
-    out2 = _eval_any(m2, target_fuel)
+    out2, _ = run(m2, target_fuel)
     if out2.kind is not Outcome.VALUE:
         return False
     return equiv_fo(T, i - out1.steps, out1.value, out2.value)

@@ -205,7 +205,7 @@ def test_criterion_8_relation_checker_agreement():
             differential_verdict = (
                 out.kind is Outcome.VALUE and result_nat(out) == n
             )
-            assert sim_fo(NAT, src_out.steps + 1, t, stages[stage].payload) == (
+            assert sim_fo(NAT, src_out.steps + 1, t, stages[stage]) == (
                 differential_verdict
             )
     assert checked > 0

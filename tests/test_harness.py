@@ -7,7 +7,7 @@ from fcomp.harness import (
     GenConfig, ProgramGen, Report, check_invariants, check_preservation,
     equiv_fo, format_report, fuzz, gen_typed_program, shrink, sim_fo,
 )
-from fcomp.pipeline import Stage, compile_stages
+from fcomp.pipeline import Stage, StageArtifact, compile_stages
 from fcomp.source_lang import (
     NAT, UNIT, Fix, NatLit, Pair, Plus, TArrow, TProd,
     UnitLit, Var, eval_src, free_vars, typecheck_src,
@@ -119,21 +119,23 @@ class TestSimFo:
         n = eval_src(t, 10_000).steps
         stages = compile_stages(t)
         for stage in (Stage.CPS, Stage.CC, Stage.HOIST, Stage.CG):
-            assert sim_fo(NAT, n + 1, t, stages[stage].payload)
+            assert sim_fo(NAT, n + 1, t, stages[stage])
 
     def test_vacuous_below_the_step_count(self):
         t = parse_source("let f = fix f (x:nat):nat. x+2 in f 3")
-        assert sim_fo(NAT, 0, t, NatLit(999))
+        assert sim_fo(NAT, 0, t, StageArtifact(Stage.SOURCE, NatLit(999)))
 
     def test_detects_wrong_target_value(self):
         t = parse_source("1 + 1")
         n = eval_src(t, 100).steps
-        assert sim_fo(NAT, n + 1, t, NatLit(2))
-        assert not sim_fo(NAT, n + 1, t, NatLit(3))
+        assert sim_fo(NAT, n + 1, t, StageArtifact(Stage.SOURCE, NatLit(2)))
+        assert not sim_fo(NAT, n + 1, t, StageArtifact(Stage.SOURCE, NatLit(3)))
 
     def test_rejects_higher_order_types(self):
         with pytest.raises(ArrowTypeUnsupported):
-            sim_fo(TArrow(NAT, NAT), 3, NatLit(1), NatLit(1))
+            sim_fo(
+                TArrow(NAT, NAT), 3, NatLit(1), StageArtifact(Stage.SOURCE, NatLit(1))
+            )
 
 
 class TestShrink:

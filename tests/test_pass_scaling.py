@@ -14,9 +14,11 @@ from fcomp.cps import cps_program
 from fcomp.hoist_pass import hoist
 from fcomp.pipeline import Stage, compile_stages
 from fcomp.surface import parse_source
+from fcomp.term import free_vars
 
 PEAK_LIMIT = 4 * 1024 * 1024
 RETAINED_LIMIT = 1.45 * 1024 * 1024
+FREE_VARS_LIMIT = 0.6 * 1024 * 1024
 
 
 def _sum_chain(n):
@@ -65,3 +67,20 @@ def test_deep_sum_chain_compiles_through_hoisting():
         tracemalloc.stop()
     assert Stage.HOIST in stages
     assert retained < RETAINED_LIMIT, f"stages retain {retained / 2**20:.2f} MB"
+
+
+def test_free_variable_sets_are_shared_along_a_deep_body():
+    # The hoisted body of the chain is a spine of lets whose free variables
+    # mostly equal a child's.  Sharing those set objects retains about
+    # 0.4 MB; a new set at every node retains about 1.2 MB.
+    body = compile_stages(_sum_chain(2000), stop_after=Stage.HOIST)[Stage.HOIST]
+    body = body.payload.body
+    gc.collect()
+    tracemalloc.start()
+    try:
+        free_vars(body)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < FREE_VARS_LIMIT, f"free_vars retains {retained / 2**20:.2f} MB"

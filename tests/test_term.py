@@ -5,12 +5,15 @@ import dataclasses
 import pickle
 
 import pytest
+from test_golden import corpus  # the golden table's inputs
 
 from fcomp import cc_lang as cc
 from fcomp import cg_lang as cg
 from fcomp import sexpr
 from fcomp import source_lang as src
 from fcomp import term
+from fcomp.harness import GenConfig, ProgramGen
+from fcomp.pipeline import compile_stages
 from fcomp.term import all_names, alpha_eq, free_vars, subst
 
 S, C, G = src, cc, cg
@@ -184,3 +187,44 @@ def test_deep_plus_chain(base, var, samples, to_sexpr, from_sexpr):
         assert type(back) is plus and back.r == nat(1)
         back = back.l
     assert back == nat(2)
+
+
+def test_free_vars_share_a_child_set_where_they_can():
+    # Nested children's sets: the node keeps the larger set object, on
+    # either side.
+    small, large = src.Var("x"), src.Plus(src.Var("x"), src.Var("y"))
+    for t, kept in [(src.Plus(small, large), large), (src.Plus(large, small), large)]:
+        assert free_vars(t) is free_vars(kept)
+    # Binders that are not free in the body leave its set as it is.
+    body = src.Plus(src.Var("x"), src.NatLit(1))
+    assert free_vars(src.Fix("f", "y", S.NAT, None, body)) is free_vars(body)
+    # A binder that is free is removed; an empty result is the shared one.
+    assert free_vars(src.Let(src.NatLit(1), "y", src.Var("y"))) is term._EMPTY
+    assert free_vars(src.Let(src.Var("x"), "y", src.Var("y"))) == {"x"}
+
+
+def _reference_free_vars(t):
+    """Free variables by the textbook recursion, after checking that
+    free_vars gives the same set at every subterm of t."""
+    if t._is_var:
+        ref = {t.name}
+    else:
+        ref = set()
+        for _, child, bound in term.children(t):
+            ref |= _reference_free_vars(child) - set(bound)
+    assert free_vars(t) == ref, t
+    return ref
+
+
+def test_free_vars_match_the_reference_at_every_stage():
+    gen = ProgramGen(GenConfig(seed=1))
+    programs = [t for _, t in corpus()] + [gen.gen() for _ in range(100)]
+    for t in programs:
+        for artifact in compile_stages(t).values():
+            p = artifact.payload
+            if isinstance(p, (cc.HoistedProgram, cg.CgProgram)):
+                terms = [*p.functions, p.body, term.program_body(p)]
+            else:
+                terms = [p]
+            for u in terms:
+                _reference_free_vars(u)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import (
+    MissingMapping,
     NonEmptyClosureContext,
     RigidEscape,
     TypeMismatch,
@@ -197,19 +198,38 @@ def closure_call(m: CCTerm, f: str, e: str, arg: CCTerm) -> COpen:
     return COpen(m, f, e, CApp(CVar(f), CPair(m, CPair(arg, CVar(e)))))
 
 
+def map_env(fvs, rho) -> CCTerm:
+    """The environment tuple (rho(x1), (rho(x2), ... unit))."""
+    out = CC_UNITVAL
+    for x in reversed(fvs):
+        if x not in rho:
+            raise MissingMapping(x)
+        out = CPair(rho[x], out)
+    return out
+
+
+def map_var(fvs):
+    """e |-> [x1 -> fst e, x2 -> fst (snd e), ...] over the unit-ended tuple."""
+
+    def at(probe):
+        out = []
+        for x in fvs:
+            out.append((x, CFst(probe)))
+            probe = CSnd(probe)
+        return out
+
+    return at
+
+
 def closure_call_arg(t: COpen):
     """M2 when t is the closure call open M as f,e in f (M, (M2, e)), the
     only shape of open that hoisting and code generation accept; else None."""
-    body = t.body
-    if (
-        isinstance(body, CApp)
-        and body.fn == CVar(t.fbinder)
-        and isinstance(body.arg, CPair)
-        and body.arg.l == t.scrutinee
-        and isinstance(body.arg.r, CPair)
-        and body.arg.r.r == CVar(t.ebinder)
-    ):
-        return body.arg.r.l
+    try:
+        m2 = t.body.arg.r.l
+    except AttributeError:
+        return None
+    if t.body == closure_call(t.scrutinee, t.fbinder, t.ebinder, m2).body:
+        return m2
     return None
 
 

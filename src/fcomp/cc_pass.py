@@ -15,15 +15,12 @@ so memory stays linear in the depth of the term.
 from __future__ import annotations
 
 from .cc_lang import (
-    CAbs, CClos, CFst, CIfz, CLet, CNat, CPair, CPlus, CPred, CSnd, CVar, CCTerm,
-    CC_UNITVAL, closure_call,
+    CAbs, CClos, CFst, CLet, CSnd, CVar, CCTerm, closure_call, map_env, map_var,
 )
 from .errors import MissingMapping, UntrackedVariable
 from .fresh import FreshSupply
-from .source_lang import (
-    App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, SrcTerm, UnitLit, Var,
-)
-from .term import all_names, children
+from .source_lang import App, Fix, Let, SrcTerm, Var
+from .term import all_names, children, counterpart, lets
 
 
 def fvars(t: SrcTerm, candidates, bound=frozenset()):
@@ -51,30 +48,6 @@ def _free_occurrences(t, candidates, bound, out):
         bound.difference_update(added)
 
 
-def map_env(fvs, rho) -> CCTerm:
-    """The environment tuple (rho(x1), (rho(x2), ... unit))."""
-    out = CC_UNITVAL
-    for x in reversed(fvs):
-        if x not in rho:
-            raise MissingMapping(x)
-        out = CPair(rho[x], out)
-    return out
-
-
-def map_var(fvs):
-    """e |-> [x1 -> fst e, x2 -> fst (snd e), ...] over the unit-ended tuple."""
-
-    def at(env_term):
-        out = []
-        probe = env_term
-        for x in fvs:
-            out.append((x, CFst(probe)))
-            probe = CSnd(probe)
-        return out
-
-    return at
-
-
 def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
     """Closure-convert t; rho maps source variables to target terms.
 
@@ -88,30 +61,15 @@ def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
 
 
 def _cc(rho, t, fresh):
-    if isinstance(t, NatLit):
-        return CNat(t.n)
-    if isinstance(t, UnitLit):
-        return CC_UNITVAL
+    if t._head in _SAME_SHAPE:
+        kids = []
+        for f, _ in t._children:
+            kids.append(_cc(rho, getattr(t, f), fresh))
+        return counterpart(t, CCTerm, kids)
     if isinstance(t, Var):
         if t.name not in rho:
             raise MissingMapping(t.name)
         return rho[t.name]
-    if isinstance(t, Pred):
-        return CPred(_cc(rho, t.arg, fresh))
-    if isinstance(t, Fst):
-        return CFst(_cc(rho, t.arg, fresh))
-    if isinstance(t, Snd):
-        return CSnd(_cc(rho, t.arg, fresh))
-    if isinstance(t, Plus):
-        return CPlus(_cc(rho, t.l, fresh), _cc(rho, t.r, fresh))
-    if isinstance(t, Pair):
-        return CPair(_cc(rho, t.l, fresh), _cc(rho, t.r, fresh))
-    if isinstance(t, Ifz):
-        return CIfz(
-            _cc(rho, t.cond, fresh),
-            _cc(rho, t.zbranch, fresh),
-            _cc(rho, t.nzbranch, fresh),
-        )
     if isinstance(t, Let):
         bound = _cc(rho, t.bound, fresh)
         y = fresh.fresh("x")
@@ -136,14 +94,11 @@ def _cc(rho, t, fresh):
         body = _cc(scope, t.body, fresh)
         code = CAbs(
             p,
-            CLet(
-                CFst(CVar(p)),
-                g,
-                CLet(
-                    CFst(CSnd(CVar(p))),
-                    y,
-                    CLet(CSnd(CSnd(CVar(p))), e, body),
-                ),
+            lets(
+                body,
+                (CFst(CVar(p)), g),
+                (CFst(CSnd(CVar(p))), y),
+                (CSnd(CSnd(CVar(p))), e),
             ),
         )
         return CClos(code, env)
@@ -155,6 +110,11 @@ def _cc(rho, t, fresh):
         xe = fresh.fresh("e")
         return CLet(fn, g, closure_call(CVar(g), xf, xe, arg))
     raise TypeError(t)
+
+
+# The heads whose cc node has the same shape: the children converted, the
+# numerals kept.
+_SAME_SHAPE = frozenset("nat unit pred fst snd plus pair ifz".split())
 
 
 def cc_program(t: SrcTerm) -> CCTerm:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import HeapExhausted, OutOfBounds
-from .term import Term, children, eval_lets, node, program_body, subst
+from .term import Term, eval_lets, node, program_body, subst, subterms
 
 
 class CgTerm(Term):
@@ -103,8 +103,14 @@ class CgProgram:
 G_UNITVAL = GUnit()
 
 
+# The heads of values and of operands, and the fields that hold statements.
+_VALUES = frozenset({"nat", "unit", "loc", "cabs"})
+_OPERANDS = frozenset({"nat", "var", "unit", "loc"})
+_STATEMENTS = frozenset({"zbranch", "nzbranch", "bound", "body"})
+
+
 def cg_is_value(t: CgTerm) -> bool:
-    return isinstance(t, (GNat, GUnit, GLoc, GAbs))
+    return t._head in _VALUES
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +222,12 @@ def eval_cg_program(p: CgProgram, fuel: int, cap=None):
 def check_operand_form(t: CgTerm) -> bool:
     """Operands of pred/plus/app/move/load/ifz are constants or variables;
     only the branches of ifz and the parts of let and abs hold statements."""
-    for f, c, _ in children(t):
-        if f in ("zbranch", "nzbranch", "bound", "body"):
-            if not check_operand_form(c):
+    for u in subterms(t):
+        for f, _ in u._children:
+            if f not in _STATEMENTS and getattr(u, f)._head not in _OPERANDS:
                 return False
-        elif not isinstance(c, (GNat, GVar, GUnit, GLoc)):
-            return False
     return True
 
 
 def check_program_operand_form(p: CgProgram) -> bool:
-    return all(check_operand_form(f) for f in p.functions) and check_operand_form(
-        p.body
-    )
+    return all(check_operand_form(t) for t in (*p.functions, p.body))

@@ -17,12 +17,13 @@ from .cc_lang import (
     CSnd, CUnit, CVar, CCTerm, HoistedProgram, closure_call_arg,
 )
 from .cg_lang import (
-    CgProgram, CgTerm, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GMove, GNat,
-    GPlus, GPred, GUnit, GVar,
+    CgProgram, CgTerm, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GMove, GPlus,
+    GPred, GVar,
 )
+from .cg_lang import GNat  # noqa: F401 - perfbench's pred_plus mutant reads it
 from .errors import UnsupportedShape
 from .fresh import FreshSupply
-from .term import all_names, subst
+from .term import all_names, counterpart, lets, subst
 
 
 @dataclass(slots=True)
@@ -43,14 +44,9 @@ def identity_cgkont() -> CgKont:
 
 
 def _const(atom: CCTerm) -> CgTerm:
-    """Embed a value-slot atom of the source IR into the target."""
-    if isinstance(atom, CNat):
-        return GNat(atom.n)
-    if isinstance(atom, CUnit):
-        return GUnit()
-    if isinstance(atom, CVar):
-        return GVar(atom.name)
-    raise UnsupportedShape(f"not a constant or variable: {atom!r}")
+    """Embed a value-slot atom (a numeral, unit or a variable) of the
+    source IR into the target."""
+    return counterpart(atom, CgTerm, ())
 
 
 def cgen_stmt(t: CCTerm, k: CgKont, fresh: FreshSupply) -> CgTerm:
@@ -67,33 +63,26 @@ def cgen_stmt(t: CCTerm, k: CgKont, fresh: FreshSupply) -> CgTerm:
         return _load(t.arg, 0, k, fresh)
     if isinstance(t, CSnd):
         return _load(t.arg, 1, k, fresh)
-    if isinstance(t, CPlus):
+    if isinstance(t, (CPlus, CApp)):
+        l, r = (t.l, t.r) if isinstance(t, CPlus) else (t.fn, t.arg)
 
         def k1(x1):
             def k2(x2):
                 v = fresh.fresh("v")
-                return GLet(GPlus(_const(x1), _const(x2)), v, k(CVar(v)))
+                # Chosen here: a cell in cgen_stmt would cost every level.
+                op = GPlus if isinstance(t, CPlus) else GApp
+                return GLet(op(_const(x1), _const(x2)), v, k(CVar(v)))
 
-            return cgen_stmt(t.r, CgKont(k2), fresh)
+            return cgen_stmt(r, CgKont(k2), fresh)
 
-        return cgen_stmt(t.l, CgKont(k1), fresh)
+        return cgen_stmt(l, CgKont(k1), fresh)
     if isinstance(t, (CPair, CClos)):
         l, r = (t.l, t.r) if isinstance(t, CPair) else (t.code, t.env)
 
         def k1(x1):
             def k2(x2):
-                p = fresh.fresh("p")
-                v1 = fresh.fresh("v")
-                v2 = fresh.fresh("v")
-                return GLet(
-                    GAlloc(2),
-                    p,
-                    GLet(
-                        GMove(GVar(p), 0, _const(x1)),
-                        v1,
-                        GLet(GMove(GVar(p), 1, _const(x2)), v2, k(CVar(p))),
-                    ),
-                )
+                p, cells = _alloc_pair(x1, x2, fresh)
+                return lets(k(CVar(p)), *cells)
 
             return cgen_stmt(r, CgKont(k2), fresh)
 
@@ -113,16 +102,6 @@ def cgen_stmt(t: CCTerm, k: CgKont, fresh: FreshSupply) -> CgTerm:
             return cgen_stmt(subst({t.binder: v1}, t.body), k, fresh)
 
         return cgen_stmt(t.bound, CgKont(kl), fresh)
-    if isinstance(t, CApp):
-
-        def k1(x1):
-            def k2(x2):
-                v = fresh.fresh("v")
-                return GLet(GApp(_const(x1), _const(x2)), v, k(CVar(v)))
-
-            return cgen_stmt(t.arg, CgKont(k2), fresh)
-
-        return cgen_stmt(t.fn, CgKont(k1), fresh)
     if isinstance(t, COpen):
         m2 = closure_call_arg(t)
         if m2 is None:
@@ -130,54 +109,38 @@ def cgen_stmt(t: CCTerm, k: CgKont, fresh: FreshSupply) -> CgTerm:
 
         def k_clos(x1):
             def k_arg(x2):
-                p1 = fresh.fresh("p")
-                v1 = fresh.fresh("v")
-                v2 = fresh.fresh("v")
-                p2 = fresh.fresh("p")
-                v3 = fresh.fresh("v")
-                v4 = fresh.fresh("v")
+                p1, arg_cells = _alloc_pair(x2, CVar(t.ebinder), fresh)
+                p2, clos_cells = _alloc_pair(x1, CVar(p1), fresh)
                 v = fresh.fresh("v")
-                return GLet(
-                    GAlloc(2),
-                    p1,
-                    GLet(
-                        GMove(GVar(p1), 0, _const(x2)),
-                        v1,
-                        GLet(
-                            GMove(GVar(p1), 1, GVar(t.ebinder)),
-                            v2,
-                            GLet(
-                                GAlloc(2),
-                                p2,
-                                GLet(
-                                    GMove(GVar(p2), 0, _const(x1)),
-                                    v3,
-                                    GLet(
-                                        GMove(GVar(p2), 1, GVar(p1)),
-                                        v4,
-                                        GLet(
-                                            GApp(GVar(t.fbinder), GVar(p2)),
-                                            v,
-                                            k(CVar(v)),
-                                        ),
-                                    ),
-                                ),
-                            ),
-                        ),
-                    ),
+                return lets(
+                    k(CVar(v)),
+                    *arg_cells,
+                    *clos_cells,
+                    (GApp(GVar(t.fbinder), GVar(p2)), v),
                 )
 
             inner = cgen_stmt(m2, CgKont(k_arg), fresh)
-            return GLet(
-                GLoad(_const(x1), 0),
-                t.fbinder,
-                GLet(GLoad(_const(x1), 1), t.ebinder, inner),
+            return lets(
+                inner,
+                (GLoad(_const(x1), 0), t.fbinder),
+                (GLoad(_const(x1), 1), t.ebinder),
             )
 
         return cgen_stmt(t.scrutinee, CgKont(k_clos), fresh)
     if isinstance(t, CAbs):
         raise UnsupportedShape("abstraction reached statement generation")
     raise TypeError(t)
+
+
+def _alloc_pair(x1, x2, fresh):
+    """A fresh p and the bindings that allocate two cells at p and move the
+    atoms x1 and x2 into them."""
+    p = fresh.fresh("p")
+    return p, (
+        (GAlloc(2), p),
+        (GMove(GVar(p), 0, _const(x1)), fresh.fresh("v")),
+        (GMove(GVar(p), 1, _const(x2)), fresh.fresh("v")),
+    )
 
 
 def _load(arg, offset, k, fresh):

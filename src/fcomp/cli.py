@@ -22,13 +22,6 @@ def _read_file(path):
         return fh.read()
 
 
-def _parse_stage(name):
-    try:
-        return Stage(name)
-    except ValueError:
-        raise FcompError(f"unknown stage: {name}")
-
-
 def cmd_check(args):
     term = surface.parse_source(_read_file(args.file))
     ty = source_lang.typecheck_src([], term)
@@ -38,7 +31,7 @@ def cmd_check(args):
 
 def cmd_compile(args):
     term = surface.parse_source(_read_file(args.file))
-    stage = _parse_stage(args.stop_after)
+    stage = Stage(args.stop_after)
     artifact = pipeline.compile(term, stage)
     if args.emit == "pretty":
         text = pipeline.emit_pretty(artifact)
@@ -54,7 +47,7 @@ def cmd_compile(args):
 
 def cmd_run(args):
     term = surface.parse_source(_read_file(args.file))
-    stage = _parse_stage(args.stage)
+    stage = Stage(args.stage)
     artifact = pipeline.compile(term, stage)
     outcome, heap = pipeline.run(artifact, args.fuel)
     if outcome.kind is Outcome.VALUE:
@@ -69,7 +62,7 @@ def cmd_run(args):
 
 def cmd_trace(args):
     term = surface.parse_source(_read_file(args.file))
-    stage = _parse_stage(args.stage)
+    stage = Stage(args.stage)
     ops = pipeline.STAGES[stage]
     state = ops.start(pipeline.compile(term, stage).payload)
     i = 0
@@ -96,6 +89,10 @@ def cmd_fuzz(args):
     return 0 if report.ok else 2
 
 
+# The stages in pipeline order; a compile stops after any but the source.
+_STAGE_NAMES = [stage.value for stage in pipeline.STAGE_ORDER]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fcomp",
@@ -110,32 +107,20 @@ def build_parser():
 
     p = sub.add_parser("compile", help="compile and dump a stage artifact")
     p.add_argument("file")
-    p.add_argument(
-        "--stop-after",
-        default="cg",
-        choices=["cps", "cc", "hoist", "cg"],
-    )
+    p.add_argument("--stop-after", default="cg", choices=_STAGE_NAMES[1:])
     p.add_argument("--emit", default="sexp", choices=["sexp", "pretty"])
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="compile to a stage and evaluate")
     p.add_argument("file")
-    p.add_argument(
-        "--stage",
-        default="source",
-        choices=["source", "cps", "cc", "hoist", "cg"],
-    )
+    p.add_argument("--stage", default="source", choices=_STAGE_NAMES)
     p.add_argument("--fuel", type=int, default=100_000)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("trace", help="print a small-step trace")
     p.add_argument("file")
-    p.add_argument(
-        "--stage",
-        default="source",
-        choices=["source", "cps", "cc", "hoist", "cg"],
-    )
+    p.add_argument("--stage", default="source", choices=_STAGE_NAMES)
     p.add_argument("--max-steps", type=int, default=100)
     p.set_defaults(func=cmd_trace)
 

@@ -10,6 +10,7 @@ source grammar has no non-recursive lambda.
 from __future__ import annotations
 
 from . import source_lang as src
+from .errors import TypeMismatch
 from .fresh import FreshSupply
 from .source_lang import (
     App, Fix, Ifz, Let, NatLit, Pair, Plus, Pred, Fst, Snd, SrcTerm, UnitLit, Var,
@@ -22,16 +23,10 @@ def cps_transform(t: SrcTerm, k, fresh: FreshSupply) -> SrcTerm:
     """CPS-convert t; k builds the term that consumes t's value slot."""
     if isinstance(t, (NatLit, UnitLit, Var)):
         return k(t)
-    if isinstance(t, Pred):
-        return _op1(t.arg, Pred, k, fresh)
-    if isinstance(t, Fst):
-        return _op1(t.arg, Fst, k, fresh)
-    if isinstance(t, Snd):
-        return _op1(t.arg, Snd, k, fresh)
-    if isinstance(t, Plus):
-        return _op2(t.l, t.r, Plus, k, fresh)
-    if isinstance(t, Pair):
-        return _op2(t.l, t.r, Pair, k, fresh)
+    if isinstance(t, (Pred, Fst, Snd)):
+        return _op1(t.arg, t.__class__, k, fresh)
+    if isinstance(t, (Plus, Pair)):
+        return _op2(t.l, t.r, t.__class__, k, fresh)
     if isinstance(t, Ifz):
         kv = fresh.fresh("k")
 
@@ -123,8 +118,6 @@ def cps_program(t: SrcTerm) -> SrcTerm:
     """CPS with the identity continuation; requires an empty-context nat typing."""
     ty = src.typecheck_src([], t)
     if ty != src.NAT:
-        from .errors import TypeMismatch
-
         raise TypeMismatch(t, src.NAT, ty)
     fresh = FreshSupply(avoid=all_names(t))
     return cps_transform(t, lambda v: v, fresh)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from . import cc_lang, cg_lang, source_lang as src
+from . import cc_lang, source_lang as src
 from .cc_lang import CC_NAT
 from .cg_lang import check_program_operand_form
 from .errors import ArrowTypeUnsupported, FcompError
@@ -25,7 +25,7 @@ from .source_lang import (
     App, Fix, Ifz, Let, NatLit, Outcome, Pair, Plus, Pred, SrcTerm, Var,
     eval_src, typecheck_src, NAT, UNIT, TArrow, TProd,
 )
-from .term import children, free_vars
+from .term import children, free_vars, subterms
 
 
 @dataclass(frozen=True)
@@ -300,25 +300,15 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
 
 
 def _operators_are_vars(t: SrcTerm) -> bool:
-    if isinstance(t, App):
-        if not isinstance(t.fn, Var):
-            return False
-        return _operators_are_vars(t.arg)
-    for _, v, _ in children(t):
-        if not _operators_are_vars(v):
-            return False
-    return True
+    return all(
+        not isinstance(u, App) or isinstance(u.fn, Var) for u in subterms(t)
+    )
 
 
 def _closure_code_closed(t) -> bool:
-    if isinstance(t, cc_lang.CClos):
-        if free_vars(t.code):
-            return False
-        return _closure_code_closed(t.env)
-    for _, v, _ in children(t):
-        if not _closure_code_closed(v):
-            return False
-    return True
+    return not any(
+        isinstance(u, cc_lang.CClos) and free_vars(u.code) for u in subterms(t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +316,20 @@ def _closure_code_closed(t) -> bool:
 
 
 def _norm_value(v):
-    if isinstance(v, (src.NatLit, cc_lang.CNat, cg_lang.GNat)):
+    h = v._head
+    if h == "nat":
         return ("nat", v.n)
-    if isinstance(v, (src.UnitLit, cc_lang.CUnit, cg_lang.GUnit)):
+    if h == "unit":
         return ("unit",)
-    if isinstance(v, (src.Pair, cc_lang.CPair)):
+    if h == "pair":
         return ("pair", _norm_value(v.l), _norm_value(v.r))
     return ("opaque", v)
 
 
 def _check_fo(T):
-    if isinstance(T, (src.TNat, src.TUnit)):
-        return
-    if isinstance(T, src.TProd):
-        _check_fo(T.left)
-        _check_fo(T.right)
-        return
-    raise ArrowTypeUnsupported(f"not a first-order type: {T}")
+    for u in subterms(T):
+        if u._head == "arrow":
+            raise ArrowTypeUnsupported(f"not a first-order type: {u}")
 
 
 def equiv_fo(T, i: int, v1, v2) -> bool:
@@ -436,10 +423,7 @@ def shrink(t: SrcTerm, fails) -> SrcTerm:
 
 
 def _size(t):
-    n = 1
-    for _, v, _ in children(t):
-        n += _size(v)
-    return n
+    return sum(1 for _ in subterms(t))
 
 
 # ---------------------------------------------------------------------------

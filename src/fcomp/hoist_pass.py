@@ -13,13 +13,12 @@ while it was walked.
 from __future__ import annotations
 
 from .cc_lang import (
-    CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred,
-    CSnd, CUnit, CVar, CCTerm, CC_UNITVAL, HoistedProgram, closure_call,
-    closure_call_arg,
+    CAbs, CApp, CLet, COpen, CVar, CCTerm, HoistedProgram, closure_call,
+    closure_call_arg, map_env, map_var,
 )
 from .errors import HoistEscape, UnsupportedShape
 from .fresh import FreshSupply
-from .term import all_names, children, free_vars
+from .term import all_names, children, free_vars, lets, subterms
 
 
 def abstract_fn(arg: str, body: CCTerm, deps):
@@ -28,25 +27,16 @@ def abstract_fn(arg: str, body: CCTerm, deps):
     deps are the binders of the functions extracted from the body, in
     extraction order.  Returns the closed function
     Abs l. let f1 = pi1 l in ... Abs arg. body together with the tuple the
-    stub must apply it to (the dependency binders as a unit-ended tuple).
+    stub must apply it to (the dependency binders as a unit-ended tuple):
+    the dependencies are laid out as a closure environment is.
     """
     l = "_l"
     avoid = all_names(body) | set(deps) | {arg}
     while l in avoid:
         l = "_" + l
-    body = CAbs(arg, body)
-    probe = CVar(l)
-    lets = []
-    for f in deps:
-        lets.append((f, CFst(probe)))
-        probe = CSnd(probe)
-    for f, proj in reversed(lets):
-        body = CLet(proj, f, body)
-    closed_fn = CAbs(l, body)
-    tup = CC_UNITVAL
-    for f in reversed(deps):
-        tup = CPair(CVar(f), tup)
-    return closed_fn, tup
+    projections = [(proj, f) for f, proj in map_var(deps)(CVar(l))]
+    closed_fn = CAbs(l, lets(CAbs(arg, body), *projections))
+    return closed_fn, map_env(deps, {f: CVar(f) for f in deps})
 
 
 def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedProgram:
@@ -66,26 +56,22 @@ def _hoist(t, bound, funcs, fresh):
     """t with every Abs replaced by its stub.  The functions extracted from
     t are appended to funcs as (binder, function) pairs, so the functions
     extracted since funcs[mark] are those of the subterm walked since."""
-    if isinstance(t, (CNat, CUnit)):
+    if t._is_var and t.name not in bound:
+        raise UnsupportedShape(f"free variable {t.name} in hoisting input")
+    if not t._children:  # a variable, numeral or unit
         return t
-    if isinstance(t, CVar):
-        if t.name not in bound:
-            raise UnsupportedShape(f"free variable {t.name} in hoisting input")
-        return t
-    if isinstance(t, (CPred, CFst, CSnd, CPlus, CPair, CApp, CClos, CIfz)):
+    if not t._binders:
         parts = []
         for _, c, _ in children(t):
             parts.append(_hoist(c, bound, funcs, fresh))
         return type(t)(*parts)
     if isinstance(t, CLet):
         m1 = _hoist(t.bound, bound, funcs, fresh)
-        mark = len(funcs)
         added = t.binder not in bound
         bound.add(t.binder)
         m2 = _hoist(t.body, bound, funcs, fresh)
         if added:
             bound.remove(t.binder)
-        _check_escape(t.binder, funcs, mark)
         return CLet(m1, t.binder, m2)
     if isinstance(t, COpen):
         m2 = closure_call_arg(t)
@@ -93,11 +79,8 @@ def _hoist(t, bound, funcs, fresh):
             raise UnsupportedShape(
                 "open not in closure-application form cannot be hoisted"
             )
-        mark = len(funcs)
         m1 = _hoist(t.scrutinee, bound, funcs, fresh)
         m2 = _hoist(m2, bound, funcs, fresh)
-        _check_escape(t.fbinder, funcs, mark)
-        _check_escape(t.ebinder, funcs, mark)
         return closure_call(m1, t.fbinder, t.ebinder, m2)
     if isinstance(t, CAbs):
         mark = len(funcs)
@@ -106,34 +89,24 @@ def _hoist(t, bound, funcs, fresh):
         body = _hoist(t.body, bound, funcs, fresh)
         if added:
             bound.remove(t.binder)
-        _check_escape(t.binder, funcs, mark)
         deps = [g for g, _ in funcs[mark:]]
         closed_fn, tup = abstract_fn(t.binder, body, deps)
+        escaped = free_vars(closed_fn)
+        if escaped:
+            raise HoistEscape(
+                f"binder {min(escaped)} occurs free in an extracted function"
+            )
         g = fresh.fresh("g")
         funcs.append((g, closed_fn))
         return CApp(CVar(g), tup)
     raise TypeError(t)
 
 
-def _check_escape(binder, funcs, mark):
-    """Raise if binder is free in a function extracted since funcs[mark]."""
-    for i in range(mark, len(funcs)):
-        if binder in free_vars(funcs[i][1]):
-            raise HoistEscape(
-                f"binder {binder} occurs free in an extracted function"
-            )
-
-
 def check_abs_flat(p: HoistedProgram) -> bool:
     """No Abs anywhere except each function's own top binders."""
 
     def flat(t):
-        if isinstance(t, CAbs):
-            return False
-        for _, c, _ in children(t):
-            if not flat(c):
-                return False
-        return True
+        return not any(isinstance(u, CAbs) for u in subterms(t))
 
     for fn in p.functions:
         # Shape: Abs l. (dependency lets) Abs x. body, body itself Abs-free.

@@ -145,9 +145,7 @@ def run(artifact: StageArtifact, fuel: int):
 def result_nat(outcome: EvalOutcome):
     """The natural number carried by a Value outcome, if any."""
     v = outcome.value
-    if isinstance(v, (source_lang.NatLit, cc_lang.CNat, cg_lang.GNat)):
-        return v.n
-    return None
+    return v.n if v._head == "nat" else None
 
 
 def emit_sexp(artifact: StageArtifact) -> str:

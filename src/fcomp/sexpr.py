@@ -78,19 +78,20 @@ def read_sexpr(text):
 # ---------------------------------------------------------------------------
 # Terms and types
 
-# Types print and read by their templates, as terms do.
-type_to_sexpr = cc_to_sexpr = cg_to_sexpr = term.to_sexpr
-src_type_from_sexpr = functools.partial(term.from_sexpr, src.SrcType)
+cc_to_sexpr = cg_to_sexpr = term.to_sexpr
 cc_from_sexpr = functools.partial(term.from_sexpr, cc.CCTerm)
 cg_from_sexpr = functools.partial(term.from_sexpr, cg.CgTerm)
 
 
+# Source terms' type annotations print and read by their templates too.
 def src_to_sexpr(t):
-    return term.to_sexpr(t, type_to_sexpr)
+    return term.to_sexpr(t, term.to_sexpr)
 
 
 def src_from_sexpr(e):
-    return term.from_sexpr(src.SrcTerm, e, src_type_from_sexpr)
+    return term.from_sexpr(
+        src.SrcTerm, e, functools.partial(term.from_sexpr, src.SrcType)
+    )
 
 
 # ---------------------------------------------------------------------------

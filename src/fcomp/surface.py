@@ -288,12 +288,9 @@ def _pp(t, level):
         return "()"
     if isinstance(t, src.Pair):
         return f"({_pp(t.l, _LOW)}, {_pp(t.r, _LOW)})"
-    if isinstance(t, src.Pred):
-        return _paren(f"pred {_pp(t.arg, _ATOM)}", level > _APP)
-    if isinstance(t, src.Fst):
-        return _paren(f"fst {_pp(t.arg, _ATOM)}", level > _APP)
-    if isinstance(t, src.Snd):
-        return _paren(f"snd {_pp(t.arg, _ATOM)}", level > _APP)
+    if isinstance(t, (src.Pred, src.Fst, src.Snd)):
+        # The keyword is the head.
+        return _paren(f"{t._head} {_pp(t.arg, _ATOM)}", level > _APP)
     if isinstance(t, src.Plus):
         return _paren(f"{_pp(t.l, _SUM)} + {_pp(t.r, _APP)}", level > _SUM)
     if isinstance(t, src.App):

@@ -15,9 +15,12 @@ From these descriptions this module derives, for the source/cps,
 closure-converted/hoisted and target IRs alike: free variables (cached on
 the node), all names, capture-avoiding simultaneous substitution, a
 canonical form for alpha-equivalence, s-expression printing and reading,
-the child walker that shrinking uses and the let-stack evaluation loop
-behind every interpreter.  Types have no binders; ``unify`` walks and
-rebuilds them through the same description.
+the child walker that shrinking uses, the preorder walk over every subterm
+(``subterms``) that the shape checks use, the node of another IR with the
+same head (``counterpart``) that the passes build for the constructors the
+IRs share, a builder of let sequences (``lets``) and the let-stack
+evaluation loop behind every interpreter.  Types have no binders;
+``unify`` walks and rebuilds them through the same description.
 
 A node's cached free variables may be the very set object of one of its
 children: ``free_vars`` makes a new set only where a node's free variables
@@ -34,8 +37,9 @@ field names and shared by the classes that have it, and ``repr`` and
 immutability are written once in ``Term``; all of them give the results a
 frozen dataclass would.
 
-Every walk recurses in Python, one frame per level of the term (two under
-a binder in substitution), and never through a C call (``map``, ``join``, a
+Every walk but ``subterms`` (which keeps its own stack and takes any depth)
+recurses in Python, one frame per level of the term (two under a binder in
+substitution), and never through a C call (``map``, ``join``, a
 comparison), so a term too deep for the recursion limit raises
 ``RecursionError`` instead of overflowing the C stack.
 """
@@ -146,6 +150,9 @@ def node(template, binds=None, var=False):
         for f, scope in binds.items():
             cls._scope = (index[f], tuple(index[b] for b in scope))
         cls._data = tuple(f for f in names if kinds[f] is NUM)
+        cls._copied = tuple(
+            (i, f) for i, f in enumerate(names) if kinds[f] is not CHILD
+        )
         cls._annots = tuple(f for f in names if kinds[f] is ANNOT)
         base = cls.__mro__[1]
         cls._head = sys.intern(tmpl if isinstance(tmpl, str) else tmpl[0])
@@ -216,6 +223,43 @@ def children(t):
         (f, getattr(t, f), tuple(getattr(t, b) for b in scope))
         for f, scope in t._children
     ]
+
+
+def subterms(t):
+    """Every subterm occurrence of t, t first, in preorder.  The walk keeps
+    its own stack, so it takes a term of any depth."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        for f, _ in reversed(t._children):
+            todo.append(getattr(t, f))
+
+
+def counterpart(t, base, kids):
+    """The node of the IR whose term class is ``base`` with t's head: its
+    children are kids, in field order, and its numerals, names and
+    annotations are t's."""
+    cls = base._heads.get(t._head)
+    if cls is None:
+        return base._atoms[t._head]
+    if not t._copied:  # every field a child
+        return cls(*kids)
+    if not kids:  # no field a child
+        return cls(t._values(t)) if t._unary else cls(*t._values(t))
+    args = list(kids)
+    for i, f in t._copied:
+        args.insert(i, getattr(t, f))
+    return cls(*args)
+
+
+def lets(body, *bindings):
+    """``let x1 = e1 in ... let xn = en in body`` from the pairs (e1, x1),
+    ..., (en, xn), in the IR of body."""
+    let = body._heads["let"]
+    for bound, binder in reversed(bindings):
+        body = let(bound, binder, body)
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 import pytest
 
 from fcomp import cc_lang as cc
-from fcomp import sexpr
+from fcomp import sexpr, term
 from fcomp.errors import ParseError
 from fcomp.pipeline import Stage, compile_stages, parse_stage_artifact
 from fcomp.source_lang import (
-    NAT, App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, TArrow,
-    TProd, UNIT, UnitLit, Var,
+    NAT, App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, SrcType,
+    TArrow, TProd, UNIT, UnitLit, Var,
 )
 from fcomp.surface import parse_source, print_source
 
@@ -102,8 +102,9 @@ class TestSexpr:
     def test_type_roundtrip(self):
         for ty in (NAT, UNIT, TArrow(NAT, TProd(NAT, UNIT)),
                    TProd(TArrow(NAT, NAT), UNIT)):
-            e = sexpr.type_to_sexpr(ty)
-            assert sexpr.src_type_from_sexpr(sexpr.read_sexpr(sexpr.render(e))) == ty
+            e = term.to_sexpr(ty)
+            back = sexpr.read_sexpr(sexpr.render(e))
+            assert term.from_sexpr(SrcType, back) == ty
 
     def test_stage_artifact_roundtrips(self):
         t = parse_source(
@@ -157,12 +158,12 @@ class TestSexpr:
                 "(code (prod nat (rigid 2)) nat)",
         }
         for ty, text in forms.items():
-            assert sexpr.render(sexpr.type_to_sexpr(ty)) == text
+            assert sexpr.render(term.to_sexpr(ty)) == text
 
     @pytest.mark.parametrize("bad", ["arrow", "(arrow nat)", "(code nat nat)"])
     def test_bad_type(self, bad):
         with pytest.raises(ParseError, match="^bad type: "):
-            sexpr.src_type_from_sexpr(sexpr.read_sexpr(bad))
+            term.from_sexpr(SrcType, sexpr.read_sexpr(bad))
 
 
 class TestSexprNumerals:

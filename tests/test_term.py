@@ -1,8 +1,11 @@
 """The term core: every constructor of every IR through free variables,
 substitution and the s-expression round trip, plus deep terms."""
 
+import contextlib
 import dataclasses
+import functools
 import pickle
+import sys
 
 import pytest
 from test_golden import corpus  # the golden table's inputs
@@ -97,7 +100,8 @@ def test_every_node_roundtrips_and_is_a_dataclass(base, cls):
         args["name"] = "x"
     t = cls(**args)
     text = sexpr.render(term.to_sexpr(t, term.to_sexpr))
-    back = term.from_sexpr(base, sexpr.read_sexpr(text), sexpr.src_type_from_sexpr)
+    read_type = functools.partial(term.from_sexpr, src.SrcType)
+    back = term.from_sexpr(base, sexpr.read_sexpr(text), read_type)
     assert back == t and type(back) is cls
     assert {f.name for f in dataclasses.fields(t)} == set(args)
     assert dataclasses.replace(t) == t
@@ -228,3 +232,133 @@ def test_free_vars_match_the_reference_at_every_stage():
                 terms = [p]
             for u in terms:
                 _reference_free_vars(u)
+
+
+# ---------------------------------------------------------------------------
+# The node patterns written once: subterms, counterpart and lets
+
+
+@contextlib.contextmanager
+def low_recursion_limit():
+    """A recursion limit far below the depth of the chains these tests walk."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+CHAIN = 100_000
+
+
+def chain(wrap, leaf):
+    t = leaf
+    for _ in range(CHAIN):
+        t = wrap(t)
+    return t
+
+
+def test_subterms_is_a_preorder_of_every_occurrence():
+    one = src.NatLit(1)
+    t = src.Plus(src.Pred(one), src.Let(one, "y", src.Var("y")))
+    assert list(term.subterms(t)) == [
+        t, t.l, one, t.r, one, src.Var("y"),
+    ]
+    deep = chain(src.Pred, one)
+    with low_recursion_limit():
+        assert sum(1 for _ in term.subterms(deep)) == CHAIN + 1
+
+
+def test_walks_take_a_chain_deeper_than_the_recursion_limit():
+    from fcomp.harness import _closure_code_closed, _size
+    from fcomp.hoist_pass import check_abs_flat
+
+    g1, c1 = cg.GNat(1), cc.CNat(1)
+    lets_ = chain(lambda t: cg.GLet(g1, "x", t), cg.GVar("x"))
+    bad = chain(lambda t: cg.GLet(g1, "x", t), cg.GPred(cg.GPred(g1)))
+    flat = chain(lambda t: cc.CLet(c1, "x", t), cc.CVar("x"))
+    nested = chain(cc.CPred, cc.CApp(cc.CAbs("y", cc.CVar("y")), cc.CNat(1)))
+    closed = chain(cc.CPred, cc.CClos(cc.CAbs("p", cc.CVar("p")), cc.CC_UNITVAL))
+    open_ = chain(cc.CPred, cc.CClos(cc.CAbs("p", cc.CVar("q")), cc.CC_UNITVAL))
+    fn = cc.CAbs("l", cc.CAbs("x", flat))
+    with low_recursion_limit():
+        assert cg.check_operand_form(lets_)
+        assert not cg.check_operand_form(bad)
+        assert check_abs_flat(cc.HoistedProgram(("g",), (fn,), flat))
+        assert not check_abs_flat(cc.HoistedProgram((), (), nested))
+        assert _closure_code_closed(closed)
+        assert not _closure_code_closed(open_)
+        assert _size(chain(src.Pred, src.NatLit(0))) == CHAIN + 1
+
+
+# The heads the source and closure-converted languages share: for each, a
+# closed source program with that head at (or, for var, just under) its root
+# and the term cc_program makes of it.
+_ONE, _TWO = src.NatLit(1), src.NatLit(2)
+CC_PROGRAMS = {
+    "nat": (_TWO, cc.CNat(2)),
+    "unit": (src.UNITVAL, cc.CUnit()),
+    "pred": (src.Pred(_TWO), cc.CPred(cc.CNat(2))),
+    "fst": (src.Fst(src.Pair(_ONE, _TWO)), cc.CFst(cc.CPair(cc.CNat(1), cc.CNat(2)))),
+    "snd": (src.Snd(src.Pair(_ONE, _TWO)), cc.CSnd(cc.CPair(cc.CNat(1), cc.CNat(2)))),
+    "plus": (src.Plus(_ONE, _TWO), cc.CPlus(cc.CNat(1), cc.CNat(2))),
+    "pair": (src.Pair(_ONE, src.UNITVAL), cc.CPair(cc.CNat(1), cc.CUnit())),
+    "ifz": (
+        src.Ifz(_ONE, _TWO, src.Pred(_ONE)),
+        cc.CIfz(cc.CNat(1), cc.CNat(2), cc.CPred(cc.CNat(1))),
+    ),
+    "let": (
+        src.Let(_ONE, "x", src.Plus(src.Var("x"), _TWO)),
+        cc.CLet(cc.CNat(1), "_x1", cc.CPlus(cc.CVar("_x1"), cc.CNat(2))),
+    ),
+    "var": (src.Let(_ONE, "x", src.Var("x")), cc.CLet(cc.CNat(1), "_x1", cc.CVar("_x1"))),
+    "app": (
+        src.App(src.Fix("f", "y", S.NAT, S.NAT, src.Var("y")), _TWO),
+        cc.CLet(
+            cc.CClos(
+                cc.CAbs("_p1", cc.CLet(
+                    cc.CFst(cc.CVar("_p1")), "_g2", cc.CLet(
+                        cc.CFst(cc.CSnd(cc.CVar("_p1"))), "_x3", cc.CLet(
+                            cc.CSnd(cc.CSnd(cc.CVar("_p1"))), "_e4",
+                            cc.CVar("_x3"))))),
+                cc.CUnit(),
+            ),
+            "_g5",
+            cc.COpen(cc.CVar("_g5"), "_f6", "_e7", cc.CApp(
+                cc.CVar("_f6"),
+                cc.CPair(cc.CVar("_g5"), cc.CPair(cc.CNat(2), cc.CVar("_e7"))))),
+        ),
+    ),
+}
+SHARED = [t for t in SOURCE if t._head in CC_PROGRAMS]
+
+
+def test_every_shared_head_has_a_program():
+    heads = set(cc.CCTerm._heads) | set(cc.CCTerm._atoms)
+    assert {t._head for t in SOURCE} & heads == set(CC_PROGRAMS)
+    assert {t._head for t in SHARED} == set(CC_PROGRAMS)
+
+
+@pytest.mark.parametrize("t", SHARED, ids=[type(t).__name__ for t in SHARED])
+def test_counterpart_and_cc_program_on_each_shared_head(t):
+    from fcomp.cc_pass import cc_program
+
+    kids = [cc.CNat(7 + i) for i in range(len(t._children))]
+    c = term.counterpart(t, cc.CCTerm, kids)
+    assert isinstance(c, cc.CCTerm) and c._head == t._head
+    assert c._tmpl == t._tmpl
+    assert [getattr(c, f) for f, _ in c._children] == kids
+    assert [getattr(c, f) for _, f in c._copied] == [
+        getattr(t, f) for _, f in t._copied
+    ]
+    program, expected = CC_PROGRAMS[t._head]
+    assert cc_program(program) == expected
+
+
+def test_lets_nests_its_bindings_in_order():
+    body = cg.GVar("y")
+    assert term.lets(body) is body
+    assert term.lets(body, (cg.GNat(1), "x"), (cg.GVar("x"), "y")) == cg.GLet(
+        cg.GNat(1), "x", cg.GLet(cg.GVar("x"), "y", body)
+    )

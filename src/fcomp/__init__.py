@@ -23,7 +23,7 @@ from .cc_lang import (
     typecheck_cc, typecheck_hoisted,
 )
 from .cc_pass import cc_program, cc_transform, fvars, map_env, map_var
-from .hoist_pass import abstract_fn, hoist
+from .hoist_pass import hoist
 from .cg_lang import (
     CgProgram, CgTerm, MemState, allocate, eval_cg_program, heap_lookup,
     heap_update, step_cg,

@@ -21,7 +21,6 @@ from .errors import (
     NonEmptyClosureContext,
     RigidEscape,
     TypeMismatch,
-    UnboundVariable,
 )
 from .source_lang import Inference, is_value, step_src
 from .term import EvalOutcome, Term, eval_lets, free_vars, node, program_body
@@ -186,7 +185,8 @@ CC_UNITVAL = CUnit()
 
 @dataclass(frozen=True)
 class HoistedProgram:
-    """letfun binders = functions in body."""
+    """letfun* binders = functions in body: each function may name the
+    binders before it, and the body names any of them."""
 
     binders: Tuple[str, ...]
     functions: Tuple[CCTerm, ...]
@@ -257,8 +257,8 @@ class _Inference(Inference):
     rules of code, closures and open.
 
     code_ctx lists the bindings closure code is still allowed to mention:
-    empty for plain terms, the top-level function binders for hoisted
-    programs (whose closures hold stub applications of those binders).
+    empty for plain terms, the top-level function binders in scope for
+    hoisted programs (whose closure code parts are stubs, those binders).
     Rigid tags are numbered from 1 in each run.
     """
 
@@ -338,21 +338,19 @@ def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
 
 
 def typecheck_hoisted(p: HoistedProgram, ans: CCType = None) -> CCType:
-    """Type every listed function in the empty context, then the body.
+    """Type each listed function in the context of the binders before it,
+    then the body in the context of all of them.
 
-    Inside the body, closure code parts may mention the top-level function
-    binders (stubs applied to dependency tuples); those are the only names
-    the closed-code check admits there.  ans is as for ``typecheck_cc``.
+    Closure code parts may mention the binders in scope (a stub is one);
+    those are the only names the closed-code check admits.  ans is as for
+    ``typecheck_cc``.
     """
     inf = _Inference(ans)
     ctx = []
     for binder, fn in zip(p.binders, p.functions):
-        fv = free_vars(fn)
-        if fv:
-            raise UnboundVariable(sorted(fv)[0])
-        ty = inf.infer([], fn)
-        ctx.append((binder, ty))
         inf.code_ctx = list(ctx)
+        ctx.append((binder, inf.infer(ctx, fn)))
+    inf.code_ctx = list(ctx)
     return inf.finish(inf.infer(ctx, p.body))
 
 

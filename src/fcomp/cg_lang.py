@@ -95,6 +95,8 @@ class GAbs(CgTerm):
 
 @dataclass(frozen=True)
 class CgProgram:
+    """letfun* binders = functions in body, scoped as ``HoistedProgram``."""
+
     binders: Tuple[str, ...]
     functions: Tuple[CgTerm, ...]
     body: CgTerm

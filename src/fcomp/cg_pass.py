@@ -152,23 +152,11 @@ def _load(arg, offset, k, fresh):
 
 
 def cgen_fn(f: CCTerm, fresh: FreshSupply) -> CgTerm:
-    """Compile a hoisted function Abs l. (dependency lets) Abs x. body."""
+    """Compile a hoisted function Abs x. body; the body may name the
+    binders of the functions listed before it."""
     if not isinstance(f, CAbs):
         raise UnsupportedShape("hoisted function must be an abstraction")
-    return GAbs(f.binder, _cgen_wrapper(f.body, fresh))
-
-
-def _cgen_wrapper(w: CCTerm, fresh: FreshSupply) -> CgTerm:
-    """Compile the dependency lets and the inner abstraction of a function."""
-    if isinstance(w, CAbs):
-        return GAbs(w.binder, cgen_stmt(w.body, identity_cgkont(), fresh))
-    if isinstance(w, CLet):
-
-        def kl(v):
-            return _cgen_wrapper(subst({w.binder: v}, w.body), fresh)
-
-        return cgen_stmt(w.bound, CgKont(kl), fresh)
-    raise UnsupportedShape("hoisted function body must end in an abstraction")
+    return GAbs(f.binder, cgen_stmt(f.body, identity_cgkont(), fresh))
 
 
 def cgen_program(p: HoistedProgram) -> CgProgram:

@@ -18,14 +18,14 @@ from . import cc_lang, source_lang as src
 from .cc_lang import CC_NAT
 from .cg_lang import check_program_operand_form
 from .errors import ArrowTypeUnsupported, FcompError
-from .hoist_pass import check_abs_flat
+from .hoist_pass import check_abs_flat, check_letfun_scope
 from .pipeline import STAGE_ORDER, STAGES, Stage, compile_stages, result_nat, run
 from .sexpr import render, src_to_sexpr
 from .source_lang import (
     App, Fix, Ifz, Let, NatLit, Outcome, Pair, Plus, Pred, SrcTerm, Var,
     eval_src, typecheck_src, NAT, UNIT, TArrow, TProd,
 )
-from .term import children, free_vars, subterms
+from .term import children, free_vars, program_body, subterms
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,11 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
     hoisted = stages[Stage.HOIST].payload
     if not check_abs_flat(hoisted):
         fail("hoist-shape", "Abs-flat hoisted program", hoisted)
-    if any(free_vars(f) for f in hoisted.functions):
-        fail("hoist-shape", "closed hoisted functions", hoisted)
+    if not check_letfun_scope(hoisted):
+        fail("hoist-shape", "each function mentions only the binders before it",
+             hoisted)
+    if program_body(hoisted) != cc_t:
+        fail("hoist-roundtrip", cc_t, hoisted)
     cg_p = stages[Stage.CG].payload
     if not check_program_operand_form(cg_p):
         fail("cg-shape", "constant-or-variable operands", cg_p)

@@ -1,61 +1,43 @@
 """Code hoisting.
 
-Every abstraction in a closure-converted term is lifted to a top-level
-function list.  A lifted function is closed by abstracting it over a tuple
-of the functions its body depends on; the abstraction's original position
-is filled by a stub applying the new top-level binder to that tuple.
+Every abstraction in a closure-converted term is lifted, as it is and with
+its body hoisted, to a top-level function list; its original position is
+filled by a stub, the new top-level binder.
 
-The lifted functions are appended to one list as they are extracted; it is
-the program's function list, and a body depends on the functions appended
-while it was walked.
+The lifted functions are appended to one list as they are extracted, which
+is the program's function list.  A function may name the binders listed
+before it (``letfun*`` scoping): those are the functions extracted from its
+own body and from the terms walked before it.  The thesis instead closes
+each function over a tuple of its dependencies; that tuple's projections
+grow with the cube of closure nesting.
 """
 
 from __future__ import annotations
 
 from .cc_lang import (
-    CAbs, CApp, CLet, COpen, CVar, CCTerm, HoistedProgram, closure_call,
-    closure_call_arg, map_env, map_var,
+    CAbs, CLet, COpen, CVar, CCTerm, HoistedProgram, closure_call,
+    closure_call_arg,
 )
 from .errors import HoistEscape, UnsupportedShape
 from .fresh import FreshSupply
-from .term import all_names, children, free_vars, lets, subterms
-
-
-def abstract_fn(arg: str, body: CCTerm, deps):
-    """Close a hoisted function body over its extracted dependencies.
-
-    deps are the binders of the functions extracted from the body, in
-    extraction order.  Returns the closed function
-    Abs l. let f1 = pi1 l in ... Abs arg. body together with the tuple the
-    stub must apply it to (the dependency binders as a unit-ended tuple):
-    the dependencies are laid out as a closure environment is.
-    """
-    l = "_l"
-    avoid = all_names(body) | set(deps) | {arg}
-    while l in avoid:
-        l = "_" + l
-    projections = [(proj, f) for f, proj in map_var(deps)(CVar(l))]
-    closed_fn = CAbs(l, lets(CAbs(arg, body), *projections))
-    return closed_fn, map_env(deps, {f: CVar(f) for f in deps})
+from .term import all_names, children, free_vars, subterms
 
 
 def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedProgram:
     """Hoist every Abs out of t into a top-level function list."""
     if fresh is None:
         fresh = FreshSupply(avoid=all_names(t))
-    funcs = []
+    funcs = {}
     # One scope for the whole walk: a binder is added for its body only if
     # it is not in scope already, and removed again only if added here.
     body = _hoist(t, set(bound), funcs, fresh)
-    return HoistedProgram(
-        tuple(g for g, _ in funcs), tuple(fn for _, fn in funcs), body
-    )
+    return HoistedProgram(tuple(funcs), tuple(funcs.values()), body)
 
 
 def _hoist(t, bound, funcs, fresh):
     """t with every Abs replaced by its stub.  The functions extracted from
-    t are appended to funcs as (binder, function) pairs, so the functions
-    extracted since funcs[mark] are those of the subterm walked since."""
+    t are added to funcs, binder to function, in extraction order; its keys
+    are the names a function may mention."""
     if t._is_var and t.name not in bound:
         raise UnsupportedShape(f"free variable {t.name} in hoisting input")
     if not t._children:  # a variable, numeral or unit
@@ -83,40 +65,38 @@ def _hoist(t, bound, funcs, fresh):
         m2 = _hoist(m2, bound, funcs, fresh)
         return closure_call(m1, t.fbinder, t.ebinder, m2)
     if isinstance(t, CAbs):
-        mark = len(funcs)
         added = t.binder not in bound
         bound.add(t.binder)
         body = _hoist(t.body, bound, funcs, fresh)
         if added:
             bound.remove(t.binder)
-        deps = [g for g, _ in funcs[mark:]]
-        closed_fn, tup = abstract_fn(t.binder, body, deps)
-        escaped = free_vars(closed_fn)
+        fn = CAbs(t.binder, body)
+        escaped = free_vars(fn) - funcs.keys()
         if escaped:
             raise HoistEscape(
                 f"binder {min(escaped)} occurs free in an extracted function"
             )
         g = fresh.fresh("g")
-        funcs.append((g, closed_fn))
-        return CApp(CVar(g), tup)
+        funcs[g] = fn
+        return CVar(g)
     raise TypeError(t)
 
 
 def check_abs_flat(p: HoistedProgram) -> bool:
-    """No Abs anywhere except each function's own top binders."""
+    """No Abs anywhere except at the top of each function."""
 
     def flat(t):
         return not any(isinstance(u, CAbs) for u in subterms(t))
 
-    for fn in p.functions:
-        # Shape: Abs l. (dependency lets) Abs x. body, body itself Abs-free.
-        if not isinstance(fn, CAbs):
+    fns_flat = all(isinstance(fn, CAbs) and flat(fn.body) for fn in p.functions)
+    return fns_flat and flat(p.body)
+
+
+def check_letfun_scope(p: HoistedProgram) -> bool:
+    """Each function mentions only the binders listed before it."""
+    listed = set()
+    for g, fn in zip(p.binders, p.functions):
+        if not free_vars(fn) <= listed:
             return False
-        inner = fn.body
-        while isinstance(inner, CLet):
-            if not flat(inner.bound):
-                return False
-            inner = inner.body
-        if not isinstance(inner, CAbs) or not flat(inner.body):
-            return False
-    return flat(p.body)
+        listed.add(g)
+    return True

@@ -381,11 +381,18 @@ def _under_binders(s, fvs, args, body, binders):
 
 def program_body(p):
     """The body of a letfun program with each function substituted for its
-    binder, in order."""
-    body = p.body
+    binder.  A function may name the binders before it, so each is first
+    closed over the functions it names, in order: the same term as
+    substituting the last function first, found without walking a function
+    substituted earlier."""
+    closed = {}
+
+    def close(t):
+        return subst({x: closed[x] for x in free_vars(t) if x in closed}, t)
+
     for binder, fn in zip(p.binders, p.functions):
-        body = subst({binder: fn}, body)
-    return body
+        closed[binder] = close(fn)
+    return close(p.body)
 
 
 # ---------------------------------------------------------------------------

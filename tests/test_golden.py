@@ -6,7 +6,8 @@ only) and the nat value.  It was recorded before the per-IR binding code
 was folded into one term core, and the three shadowing inputs before
 closure conversion and hoisting moved to one shared scope, so a refactor
 that keeps this test green changed no generated name, no dump and no step
-count.
+count.  The hoist and cg rows were re-recorded when hoisted functions
+stopped being closed over dependency tuples; no kind or value changed.
 
 To re-record after a change that is meant to alter the output::
 
@@ -99,6 +100,12 @@ def test_golden_table():
                 f"first difference: input {name}, stage {stage}: "
                 f"recorded {row}, now {got[name][stage]}"
             )
+
+
+def test_hoisted_steps_equal_cc_steps():
+    # Unhoisting gives back the cc term, so the hoisted program runs it.
+    for name, rows in json.loads(TABLE.read_text()).items():
+        assert rows["hoist"]["steps"] == rows["cc"]["steps"], name
 
 
 if __name__ == "__main__":

@@ -1,15 +1,23 @@
-"""Code hoisting: flat shape, closedness, dependency plumbing, evaluation."""
+"""Code hoisting: flat shape, letfun* scoping, the round trip to the cc
+term, evaluation."""
 
 import pytest
+from test_golden import corpus  # the golden table's inputs
 
 from fcomp.cc_lang import (
-    CAbs, CApp, CClos, CFst, CLet, CNat, CPair, CPlus, CSnd, CVar,
+    CAbs, CApp, CClos, CLet, CNat, CPlus, CVar,
     CC_NAT, CC_UNITVAL, COpen, eval_hoisted, typecheck_hoisted,
 )
 from fcomp.cc_pass import cc_program
-from fcomp.errors import HoistEscape, UnsupportedShape
-from fcomp.hoist_pass import abstract_fn, check_abs_flat, hoist
+from fcomp.errors import HoistEscape, UnboundVariable, UnsupportedShape
+from fcomp.harness import GenConfig, ProgramGen
+from fcomp.hoist_pass import check_abs_flat, check_letfun_scope, hoist
+from fcomp.pipeline import (
+    STAGE_ORDER, Stage, compile_stages, emit_sexp, parse_stage_artifact,
+    result_nat, run,
+)
 from fcomp.term import free_vars as cc_free_vars
+from fcomp.term import program_body, subterms
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
 
@@ -19,29 +27,6 @@ def hoisted_result_nat(p, fuel=100_000):
     assert out.kind is Outcome.VALUE, out
     assert isinstance(out.value, CNat)
     return out.value.n
-
-
-class TestBuildingBlocks:
-    def test_abstract_fn_without_dependencies(self):
-        closed, tup = abstract_fn("x", CVar("x"), ())
-        assert tup == CC_UNITVAL
-        assert isinstance(closed, CAbs)
-        assert closed.body == CAbs("x", CVar("x"))
-        assert cc_free_vars(closed) == frozenset()
-
-    def test_abstract_fn_projects_dependencies(self):
-        body = CApp(CVar("f1"), CApp(CVar("f2"), CVar("x")))
-        closed, tup = abstract_fn("x", body, ["f1", "f2"])
-        assert cc_free_vars(closed) == frozenset()
-        assert tup == CPair(CVar("f1"), CPair(CVar("f2"), CC_UNITVAL))
-        l = closed.binder
-        # let f1 = fst l in let f2 = fst (snd l) in Abs x. body
-        lets = closed.body
-        assert isinstance(lets, CLet) and lets.binder == "f1"
-        assert lets.bound == CFst(CVar(l))
-        assert isinstance(lets.body, CLet) and lets.body.binder == "f2"
-        assert lets.body.bound == CFst(CSnd(CVar(l)))
-        assert lets.body.body == CAbs("x", body)
 
 
 class TestHoist:
@@ -66,8 +51,10 @@ class TestHoist:
         )
         p = hoist(cc_program(t))
         assert check_abs_flat(p)
-        for fn in p.functions:
-            assert cc_free_vars(fn) == frozenset()
+        # Closed but for the binders listed before each function.
+        assert check_letfun_scope(p)
+        for i, fn in enumerate(p.functions):
+            assert cc_free_vars(fn) <= set(p.binders[:i])
 
     def test_worked_example_has_two_functions(self):
         t = parse_source(
@@ -78,8 +65,8 @@ class TestHoist:
         assert hoisted_result_nat(p) == 12
 
     def test_nested_function_depends_on_inner(self):
-        # The inner function is listed first; the outer one receives it
-        # through its dependency tuple.
+        # The inner function is listed first; the outer one names its
+        # binder where the inner abstraction stood.
         t = parse_source("(fun (y:nat). (fun (z:nat). y+z) 1) 2")
         p = hoist(cc_program(t))
         assert len(p.functions) == 2
@@ -87,16 +74,14 @@ class TestHoist:
 
     def test_dependencies_are_the_functions_extracted_from_the_body(self):
         # The program lists functions in extraction order, and a function
-        # depends on exactly those extracted while its body was hoisted.
+        # names exactly the binders of those extracted from its own body.
         t = parse_source(
             "let a = fun (u:nat). u in (fun (y:nat). (fun (z:nat). y+z) 1) 2"
         )
         p = hoist(cc_program(t))
         first, inner, outer = p.functions
-        assert isinstance(first.body, CAbs) and isinstance(inner.body, CAbs)
-        assert isinstance(outer.body, CLet)
-        assert outer.body.binder == p.binders[1]
-        assert isinstance(outer.body.body, CAbs)
+        assert cc_free_vars(first) == cc_free_vars(inner) == frozenset()
+        assert cc_free_vars(outer) == {p.binders[1]}
         assert hoisted_result_nat(p) == 3
 
     @pytest.mark.parametrize(
@@ -162,3 +147,69 @@ class TestScope:
     def test_binder_is_out_of_scope_after_its_body(self, scoped):
         with pytest.raises(UnsupportedShape):
             hoist(CPlus(scoped, CVar("y")))
+
+
+def nested_closures(n, c):
+    """Level i is let xi = i+c in let fi = fun (yi:nat). yi + xi + <level
+    i+1> in fi i, level n+1 is 0; its value is n(n+1) + nc."""
+    text = "0"
+    for i in range(n, 0, -1):
+        text = (f"(let x{i} = {i + c} in let f{i} = fun (y{i}:nat). "
+                f"y{i} + x{i} + {text} in f{i} {i})")
+    return parse_source(text), n * (n + 1) + n * c
+
+
+def _nodes(*terms):
+    return sum(1 for t in terms for _ in subterms(t))
+
+
+# Two hand-written letfun* programs: the second function names the first,
+# and the other way round.
+EARLIER = """(htm ((cabs (x) (plus (var x) (nat 1)))
+                 (cabs (y) (app (var g1) (plus (var y) (var y)))))
+            (habs (g1 g2) (app (var g2) (nat 3))))"""
+LATER = """(htm ((cabs (y) (app (var g2) (plus (var y) (var y))))
+                (cabs (x) (plus (var x) (nat 1))))
+           (habs (g1 g2) (app (var g1) (nat 3))))"""
+
+
+class TestLetfunScope:
+    """A hoisted function is the cc abstraction as it was, and names the
+    binders listed before it: unhoisting gives the cc term back."""
+
+    def test_unhoisting_gives_back_the_cc_term(self):
+        gen = ProgramGen(GenConfig(seed=1))
+        programs = [t for _, t in corpus()] + [gen.gen() for _ in range(300)]
+        for t in programs:
+            cc_t = cc_program(t)
+            assert program_body(hoist(cc_t)) == cc_t
+
+    def test_nested_closures_compile_and_agree_at_every_stage(self):
+        t, want = nested_closures(50, 3)
+        stages = compile_stages(t)
+        for stage in STAGE_ORDER:
+            out, _ = run(stages[stage], 400_000)
+            assert out.kind is Outcome.VALUE, (stage, out)
+            assert result_nat(out) == want, stage
+
+    def test_hoisting_adds_one_stub_per_function(self):
+        t, _ = nested_closures(100, 3)
+        stages = compile_stages(t, stop_after=Stage.HOIST)
+        cc_t, p = stages[Stage.CC].payload, stages[Stage.HOIST].payload
+        assert len(p.functions) == 200
+        assert _nodes(*p.functions, p.body) == _nodes(cc_t) + len(p.functions)
+
+    def test_a_function_may_name_an_earlier_binder(self):
+        artifact = parse_stage_artifact(Stage.HOIST, EARLIER)
+        p = artifact.payload
+        assert check_letfun_scope(p)
+        assert typecheck_hoisted(p) == CC_NAT
+        assert hoisted_result_nat(p) == 7
+        again = parse_stage_artifact(Stage.HOIST, emit_sexp(artifact)).payload
+        assert again == p
+
+    def test_a_function_may_not_name_a_later_binder(self):
+        p = parse_stage_artifact(Stage.HOIST, LATER).payload
+        assert not check_letfun_scope(p)
+        with pytest.raises(UnboundVariable, match="g2"):
+            typecheck_hoisted(p)

@@ -9,8 +9,8 @@ import sys as _sys
 _sys.setrecursionlimit(max(_sys.getrecursionlimit(), 20_000))
 
 from .term import (
-    EvalOutcome, Outcome, Term, all_names, alpha_eq, children, free_vars,
-    from_sexpr, node, program_body, subst, to_sexpr,
+    EvalOutcome, Outcome, Program, Term, all_names, alpha_eq, children,
+    free_vars, from_sexpr, node, program_body, subst, to_sexpr,
 )
 from .source_lang import (
     NAT, UNIT, TArrow, TNat, TProd, TUnit, SrcType,
@@ -19,14 +19,14 @@ from .source_lang import (
 )
 from .cps import cps_program, cps_transform, cps_type
 from .cc_lang import (
-    CCTerm, CCType, HoistedProgram, eval_cc, eval_hoisted, step_cc,
-    typecheck_cc, typecheck_hoisted,
+    CCTerm, CCType, eval_cc, eval_hoisted, step_cc, typecheck_cc,
+    typecheck_hoisted,
 )
 from .cc_pass import cc_program, cc_transform, fvars, map_env, map_var
 from .hoist_pass import hoist
 from .cg_lang import (
-    CgProgram, CgTerm, MemState, allocate, eval_cg_program, heap_lookup,
-    heap_update, step_cg,
+    CgTerm, MemState, allocate, eval_cg_program, heap_lookup, heap_update,
+    step_cg,
 )
 from .cg_pass import cgen_fn, cgen_program, cgen_stmt
 from .pipeline import Stage, StageArtifact, compile, compile_stages, run

@@ -3,7 +3,7 @@
 Terms add abstractions without a self binder, closures and open; types
 distinguish the closure arrow (->) from the code arrow (=>) and include
 rigid skolem constants for the environment type hidden by open.  The module
-also hosts the hoisted-program form produced by the hoisting pass.
+also types and runs the hoisted program, a ``term.Program`` of cc terms.
 
 The rules for the constructors shared with the source language are those of
 ``source_lang``: typing extends its ``Inference`` with the cc types and the
@@ -13,9 +13,6 @@ value test, which cover those three constructors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 from .errors import (
     MissingMapping,
     NonEmptyClosureContext,
@@ -23,7 +20,9 @@ from .errors import (
     TypeMismatch,
 )
 from .source_lang import Inference, is_value, step_src
-from .term import EvalOutcome, Term, eval_lets, free_vars, node, program_body
+from .term import (
+    EvalOutcome, Program, Term, eval_lets, free_vars, node, program_body,
+)
 from .unify import UnifyError, nodes
 
 
@@ -183,16 +182,6 @@ class CApp(CCTerm):
 CC_UNITVAL = CUnit()
 
 
-@dataclass(frozen=True)
-class HoistedProgram:
-    """letfun* binders = functions in body: each function may name the
-    binders before it, and the body names any of them."""
-
-    binders: Tuple[str, ...]
-    functions: Tuple[CCTerm, ...]
-    body: CCTerm
-
-
 def closure_call(m: CCTerm, f: str, e: str, arg: CCTerm) -> COpen:
     """open M as f,e in f (M, (arg, e)): the call of closure M on arg."""
     return COpen(m, f, e, CApp(CVar(f), CPair(m, CPair(arg, CVar(e)))))
@@ -337,7 +326,7 @@ def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
 # Hoisted programs
 
 
-def typecheck_hoisted(p: HoistedProgram, ans: CCType = None) -> CCType:
+def typecheck_hoisted(p: Program, ans: CCType = None) -> CCType:
     """Type each listed function in the context of the binders before it,
     then the body in the context of all of them.
 
@@ -354,5 +343,5 @@ def typecheck_hoisted(p: HoistedProgram, ans: CCType = None) -> CCType:
     return inf.finish(inf.infer(ctx, p.body))
 
 
-def eval_hoisted(p: HoistedProgram, fuel: int) -> EvalOutcome:
+def eval_hoisted(p: Program, fuel: int) -> EvalOutcome:
     return eval_cc(program_body(p), fuel)

@@ -7,9 +7,9 @@ Applications open the closure and call the code on the triple
 (closure, argument, environment).
 
 The pass keeps one scope, the map from source variables to target terms,
-shared down the recursion (fvars does the same with its bound set): each
-binder extends it for its body and the outer entry is restored afterwards,
-so memory stays linear in the depth of the term.
+shared down the recursion (fvars does the same with its set of names left
+to find): each binder extends it for its body and the outer entry is
+restored afterwards, so memory stays linear in the depth of the term.
 """
 
 from __future__ import annotations
@@ -20,32 +20,40 @@ from .cc_lang import (
 from .errors import MissingMapping, UntrackedVariable
 from .fresh import FreshSupply
 from .source_lang import App, Fix, Let, SrcTerm, Var
-from .term import all_names, children, counterpart, lets
+from .term import all_names, counterpart, free_vars, lets
 
 
 def fvars(t: SrcTerm, candidates, bound=frozenset()):
     """The candidates occurring free in t, duplicate-free, ordered by their
     last free occurrence read left to right; candidates is any container of
-    names, e.g. cc_transform's scope."""
-    occurrences = []
-    _free_occurrences(t, candidates, set(bound), occurrences)
-    return list(dict.fromkeys(reversed(occurrences)))[::-1]
+    names, e.g. cc_transform's scope.
+
+    t is read right to left, and a subterm is entered only if a name not
+    found yet is free in it (by the cached free variables), so the walk
+    stays on the paths to the last occurrences instead of covering t."""
+    found = []
+    _last_occurrences(t, candidates, set(free_vars(t) - bound), found)
+    return found[::-1]
 
 
-def _free_occurrences(t, candidates, bound, out):
-    """Append the names of t's free variables to out, left to right."""
-    if isinstance(t, Var):
-        if t.name in bound:
-            return
-        if t.name not in candidates:
-            raise UntrackedVariable(t.name)
-        out.append(t.name)
+def _last_occurrences(t, candidates, live, out):
+    """Append to out each name of live at its last free occurrence in t,
+    right to left, and remove it from live; live holds the free names of
+    the whole walk not found yet and not shadowed at t."""
+    if t._is_var:
+        if t.name in live:
+            if t.name not in candidates:
+                raise UntrackedVariable(t.name)
+            live.remove(t.name)
+            out.append(t.name)
         return
-    for _, c, scope in children(t):
-        added = [b for b in scope if b not in bound]
-        bound.update(added)
-        _free_occurrences(c, candidates, bound, out)
-        bound.difference_update(added)
+    for f, scope in reversed(t._children):
+        shadowed = [getattr(t, b) for b in scope if getattr(t, b) in live]
+        live.difference_update(shadowed)
+        c = getattr(t, f)
+        if not live.isdisjoint(free_vars(c)):
+            _last_occurrences(c, candidates, live, out)
+        live.update(shadowed)
 
 
 def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> CCTerm:

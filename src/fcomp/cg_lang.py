@@ -2,16 +2,16 @@
 
 Statements are chains of lets over expressions; pairs and closures live in
 the heap via alloc/move/load.  The machine state is an immutable heap map
-plus a next-free index; stepping threads the state.
+plus a next-free index; stepping threads the state.  A program is a
+``term.Program`` of cg terms, scoped like the hoisted one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .errors import HeapExhausted, OutOfBounds
-from .term import Term, eval_lets, node, program_body, subst, subterms
+from .term import Program, Term, eval_lets, node, program_body, subst, subterms
 
 
 class CgTerm(Term):
@@ -90,15 +90,6 @@ class GLet(CgTerm):
 @node("(cabs (binder) body)", binds={"body": ("binder",)})
 class GAbs(CgTerm):
     binder: str
-    body: CgTerm
-
-
-@dataclass(frozen=True)
-class CgProgram:
-    """letfun* binders = functions in body, scoped as ``HoistedProgram``."""
-
-    binders: Tuple[str, ...]
-    functions: Tuple[CgTerm, ...]
     body: CgTerm
 
 
@@ -216,7 +207,7 @@ def eval_cg(s: MemState, t: CgTerm, fuel: int):
     return outcome, mem
 
 
-def eval_cg_program(p: CgProgram, fuel: int, cap=None):
+def eval_cg_program(p: Program, fuel: int, cap=None):
     """Substitute the top-level functions into the body, run from empty heap."""
     return eval_cg(MemState(cap=cap), program_body(p), fuel)
 
@@ -231,5 +222,5 @@ def check_operand_form(t: CgTerm) -> bool:
     return True
 
 
-def check_program_operand_form(p: CgProgram) -> bool:
+def check_program_operand_form(p: Program) -> bool:
     return all(check_operand_form(t) for t in (*p.functions, p.body))

@@ -14,16 +14,15 @@ from typing import Callable
 
 from .cc_lang import (
     CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred,
-    CSnd, CUnit, CVar, CCTerm, HoistedProgram, closure_call_arg,
+    CSnd, CUnit, CVar, CCTerm, closure_call_arg,
 )
 from .cg_lang import (
-    CgProgram, CgTerm, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GMove, GPlus,
-    GPred, GVar,
+    CgTerm, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GMove, GPlus, GPred, GVar,
 )
 from .cg_lang import GNat  # noqa: F401 - perfbench's pred_plus mutant reads it
 from .errors import UnsupportedShape
 from .fresh import FreshSupply
-from .term import all_names, counterpart, lets, subst
+from .term import Program, all_names, counterpart, lets, subst
 
 
 @dataclass(slots=True)
@@ -159,7 +158,7 @@ def cgen_fn(f: CCTerm, fresh: FreshSupply) -> CgTerm:
     return GAbs(f.binder, cgen_stmt(f.body, identity_cgkont(), fresh))
 
 
-def cgen_program(p: HoistedProgram) -> CgProgram:
+def cgen_program(p: Program) -> Program:
     avoid = set(p.binders)
     for fn in p.functions:
         avoid |= all_names(fn)
@@ -168,4 +167,4 @@ def cgen_program(p: HoistedProgram) -> CgProgram:
     del avoid  # the supply holds its own copy for the whole generation
     functions = tuple(cgen_fn(f, fresh) for f in p.functions)
     body = cgen_stmt(p.body, identity_cgkont(), fresh)
-    return CgProgram(p.binders, functions, body)
+    return Program(p.binders, functions, body)

@@ -15,15 +15,14 @@ grow with the cube of closure nesting.
 from __future__ import annotations
 
 from .cc_lang import (
-    CAbs, CLet, COpen, CVar, CCTerm, HoistedProgram, closure_call,
-    closure_call_arg,
+    CAbs, CLet, COpen, CVar, CCTerm, closure_call, closure_call_arg,
 )
 from .errors import HoistEscape, UnsupportedShape
 from .fresh import FreshSupply
-from .term import all_names, children, free_vars, subterms
+from .term import Program, all_names, children, free_vars, subterms
 
 
-def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedProgram:
+def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> Program:
     """Hoist every Abs out of t into a top-level function list."""
     if fresh is None:
         fresh = FreshSupply(avoid=all_names(t))
@@ -31,7 +30,7 @@ def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> HoistedPro
     # One scope for the whole walk: a binder is added for its body only if
     # it is not in scope already, and removed again only if added here.
     body = _hoist(t, set(bound), funcs, fresh)
-    return HoistedProgram(tuple(funcs), tuple(funcs.values()), body)
+    return Program(tuple(funcs), tuple(funcs.values()), body)
 
 
 def _hoist(t, bound, funcs, fresh):
@@ -82,7 +81,7 @@ def _hoist(t, bound, funcs, fresh):
     raise TypeError(t)
 
 
-def check_abs_flat(p: HoistedProgram) -> bool:
+def check_abs_flat(p: Program) -> bool:
     """No Abs anywhere except at the top of each function."""
 
     def flat(t):
@@ -90,13 +89,3 @@ def check_abs_flat(p: HoistedProgram) -> bool:
 
     fns_flat = all(isinstance(fn, CAbs) and flat(fn.body) for fn in p.functions)
     return fns_flat and flat(p.body)
-
-
-def check_letfun_scope(p: HoistedProgram) -> bool:
-    """Each function mentions only the binders listed before it."""
-    listed = set()
-    for g, fn in zip(p.binders, p.functions):
-        if not free_vars(fn) <= listed:
-            return False
-        listed.add(g)
-    return True

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import cc_lang, cg_lang, sexpr, source_lang, surface
@@ -124,12 +125,13 @@ STAGES = {
     ),
     Stage.HOIST: StageOps(
         lambda p, fuel: (cc_lang.eval_hoisted(p, fuel), None),
-        sexpr.hoisted_to_sexpr, sexpr.hoisted_from_sexpr, "cc-step",
+        sexpr.program_to_sexpr,
+        partial(sexpr.program_from_sexpr, cc_lang.CCTerm), "cc-step",
         start=lambda p: (None, program_body(p)),
     ),
     Stage.CG: StageOps(
-        _eval_cg, sexpr.cg_program_to_sexpr, sexpr.cg_program_from_sexpr,
-        "cg-step",
+        _eval_cg, sexpr.program_to_sexpr,
+        partial(sexpr.program_from_sexpr, cg_lang.CgTerm), "cg-step",
         start=lambda p: (cg_lang.MemState(), program_body(p)),
         step=lambda state: cg_lang.step_cg(*state),
         is_value=cg_lang.cg_is_value,

@@ -1,12 +1,12 @@
 """S-expression text for every IR in the pipeline: the reader, the
-renderer, and the program wrappers.
+renderer, and the program form.
 
 Each term or type constructor's shape, e.g. ``(let e (x body))``, ``(fix (f
 x T1 T2) body)`` or ``(arrow T1 T2)``, is the template on its class;
 ``term.to_sexpr`` and ``term.from_sexpr`` print and read terms and types
 from those templates.  This module adds the reader and renderer of the text
-and the two program forms ``(htm (F1 ... Fn) (habs (f1 ... fn) body))`` and
-``(letfun (f1 ... fn) (F1 ... Fn) S)``.
+and the program form ``(letfun (f1 ... fn) (F1 ... Fn) body)`` of the
+hoisted and cg stages.
 """
 
 from __future__ import annotations
@@ -98,62 +98,32 @@ def src_from_sexpr(e):
 # Programs
 
 
-def _binders(e, form):
-    """A program's binder list: a list of atoms, each read as one name."""
-    if not isinstance(e, list) or not all(isinstance(b, str) for b in e):
-        raise ParseError(f"{form} binders must be a list of names: {e!r}")
-    return tuple(e)
-
-
-def hoisted_to_sexpr(p):
-    return [
-        "htm",
-        [cc_to_sexpr(f) for f in p.functions],
-        ["habs", list(p.binders), cc_to_sexpr(p.body)],
-    ]
-
-
-def hoisted_from_sexpr(e):
-    if (
-        isinstance(e, list)
-        and len(e) == 3
-        and e[0] == "htm"
-        and isinstance(e[1], list)
-        and isinstance(e[2], list)
-        and len(e[2]) == 3
-        and e[2][0] == "habs"
-    ):
-        functions = tuple(cc_from_sexpr(f) for f in e[1])
-        binders = _binders(e[2][1], "habs")
-        if len(binders) != len(functions):
-            raise ParseError("htm binder/function arity mismatch")
-        return cc.HoistedProgram(binders, functions, cc_from_sexpr(e[2][2]))
-    raise ParseError(f"bad hoisted program: {e!r}")
-
-
-def cg_program_to_sexpr(p):
+def program_to_sexpr(p):
     return [
         "letfun",
         list(p.binders),
-        [cg_to_sexpr(f) for f in p.functions],
-        cg_to_sexpr(p.body),
+        [term.to_sexpr(f) for f in p.functions],
+        term.to_sexpr(p.body),
     ]
 
 
-def cg_program_from_sexpr(e):
-    if (
+def program_from_sexpr(base, e):
+    """Read a letfun program whose terms are of the IR with term class
+    ``base``; each binder must be one name."""
+    if not (
         isinstance(e, list)
         and len(e) == 4
         and e[0] == "letfun"
         and isinstance(e[1], list)
         and isinstance(e[2], list)
     ):
-        binders = _binders(e[1], "letfun")
-        functions = tuple(cg_from_sexpr(f) for f in e[2])
-        if len(binders) != len(functions):
-            raise ParseError("letfun binder/function arity mismatch")
-        return cg.CgProgram(binders, functions, cg_from_sexpr(e[3]))
-    raise ParseError(f"bad program: {e!r}")
+        raise ParseError(f"bad program: {e!r}")
+    if not all(isinstance(b, str) for b in e[1]):
+        raise ParseError(f"letfun binders must be a list of names: {e[1]!r}")
+    functions = tuple(term.from_sexpr(base, f) for f in e[2])
+    if len(e[1]) != len(functions):
+        raise ParseError("letfun binder/function arity mismatch")
+    return term.Program(tuple(e[1]), functions, term.from_sexpr(base, e[3]))
 
 
 # ---------------------------------------------------------------------------

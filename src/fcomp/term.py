@@ -19,7 +19,9 @@ the child walker that shrinking uses, the preorder walk over every subterm
 (``subterms``) that the shape checks use, the node of another IR with the
 same head (``counterpart``) that the passes build for the constructors the
 IRs share, a builder of let sequences (``lets``) and the let-stack
-evaluation loop behind every interpreter.  Types have no binders;
+evaluation loop behind every interpreter.  The letfun program of the
+hoisted and cg stages (``Program``), its scope check and its unhoisting
+(``program_body``) are here too.  Types have no binders;
 ``unify`` walks and rebuilds them through the same description.
 
 A node's cached free variables may be the very set object of one of its
@@ -379,7 +381,28 @@ def _under_binders(s, fvs, args, body, binders):
     args[body] = t
 
 
-def program_body(p):
+@dataclass(frozen=True, slots=True)
+class Program:
+    """letfun* binders = functions in body, the hoisted and the cg stage's
+    program: each function may name the binders before it, and the body
+    names any of them."""
+
+    binders: tuple
+    functions: tuple
+    body: Term
+
+
+def check_letfun_scope(p: Program) -> bool:
+    """Each function mentions only the binders listed before it."""
+    listed = set()
+    for g, fn in zip(p.binders, p.functions):
+        if not free_vars(fn) <= listed:
+            return False
+        listed.add(g)
+    return True
+
+
+def program_body(p: Program):
     """The body of a letfun program with each function substituted for its
     binder.  A function may name the binders before it, so each is first
     closed over the functions it names, in order: the same term as

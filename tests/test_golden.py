@@ -8,6 +8,9 @@ closure conversion and hoisting moved to one shared scope, so a refactor
 that keeps this test green changed no generated name, no dump and no step
 count.  The hoist and cg rows were re-recorded when hoisted functions
 stopped being closed over dependency tuples; no kind or value changed.
+The hoist rows' dump hashes were re-recorded once more when the hoisted
+program took the cg program's ``(letfun (f1 ... fn) (F1 ... Fn) body)``
+form; nothing else in the table changed.
 
 To re-record after a change that is meant to alter the output::
 

@@ -2,10 +2,13 @@
 
 import pytest
 
+from fcomp import cc_lang, hoist_pass, pipeline
+from fcomp.cc_lang import CAbs, CVar
 from fcomp.errors import ArrowTypeUnsupported, UnresolvedTypeVariable
 from fcomp.harness import (
-    GenConfig, ProgramGen, Report, check_invariants, check_preservation,
-    equiv_fo, format_report, fuzz, gen_typed_program, shrink, sim_fo,
+    GenConfig, ProgramGen, Report, _size, check_invariants,
+    check_preservation, equiv_fo, format_report, fuzz, gen_typed_program,
+    shrink, sim_fo,
 )
 from fcomp.pipeline import Stage, StageArtifact, compile_stages
 from fcomp.source_lang import (
@@ -13,6 +16,7 @@ from fcomp.source_lang import (
     UnitLit, Var, eval_src, free_vars, typecheck_src,
 )
 from fcomp.surface import parse_source
+from fcomp.term import Program, subst
 
 
 class TestGenerator:
@@ -53,6 +57,56 @@ class TestChecks:
         assert report.cases == 20
         text = format_report(report, cfg)
         assert "failures: 0" in text
+
+
+def _renaming_hoist(t):
+    """Hoisting that renames each function's parameter: every stage still
+    runs to the same value, but unhoisting no longer gives the cc term."""
+    p = hoist_pass.hoist(t)
+    fns = tuple(
+        CAbs(f.binder + "r", subst({f.binder: CVar(f.binder + "r")}, f.body))
+        for f in p.functions
+    )
+    return Program(p.binders, fns, p.body)
+
+
+class TestHoistRoundTrip:
+    """check_preservation validates hoisting by its round trip to the cc
+    term instead of running the hoisted program."""
+
+    def test_preservation_never_runs_the_hoisted_program(self, monkeypatch):
+        def refuse(p, fuel):
+            raise AssertionError("the hoisted program was run")
+
+        monkeypatch.setattr(cc_lang, "eval_hoisted", refuse)
+        report = fuzz(GenConfig(seed=3, max_size=15, fuel=2_000), 20)
+        assert report.ok
+        assert report.terminating > 0
+
+    def test_a_broken_round_trip_is_reported_and_shrunk(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "hoist", _renaming_hoist)
+        report = fuzz(GenConfig(seed=3, max_size=15, fuel=2_000), 5)
+        # Only the programs with a function fail, and only at the round
+        # trip: no stage runs to another value.
+        assert [f.stage for f in report.failures] == ["hoist-roundtrip"] * 2
+        for f in report.failures:
+            probe = check_preservation(f.shrunk, 2_000)
+            assert [g.stage for g in probe.failures] == ["hoist-roundtrip"]
+        big = report.failures[1]
+        assert _size(big.shrunk) < _size(big.term)
+        assert big.shrunk == parse_source("(fix a5 (a6:unit):nat. 0) ()")
+
+    def test_invariants_check_the_scope_of_the_cg_program(self, monkeypatch):
+        def reversed_cgen(p):
+            out = cgen_program(p)
+            return Program(out.binders, out.functions[::-1], out.body)
+
+        cgen_program = pipeline.cgen_program
+        monkeypatch.setattr(pipeline, "cgen_program", reversed_cgen)
+        t = parse_source("(fun (y:nat). (fun (z:nat). y+z) 1) 2")
+        stages = [f.stage for f in check_invariants(t, 10_000).failures]
+        assert "cg-shape" in stages
+        assert "hoist-shape" not in stages
 
 
 DIVERGENT = "(fix f (x:nat):nat. f x) 0"

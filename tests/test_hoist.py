@@ -11,13 +11,13 @@ from fcomp.cc_lang import (
 from fcomp.cc_pass import cc_program
 from fcomp.errors import HoistEscape, UnboundVariable, UnsupportedShape
 from fcomp.harness import GenConfig, ProgramGen
-from fcomp.hoist_pass import check_abs_flat, check_letfun_scope, hoist
+from fcomp.hoist_pass import check_abs_flat, hoist
 from fcomp.pipeline import (
     STAGE_ORDER, Stage, compile_stages, emit_sexp, parse_stage_artifact,
     result_nat, run,
 )
 from fcomp.term import free_vars as cc_free_vars
-from fcomp.term import program_body, subterms
+from fcomp.term import check_letfun_scope, program_body, subterms
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
 
@@ -165,12 +165,25 @@ def _nodes(*terms):
 
 # Two hand-written letfun* programs: the second function names the first,
 # and the other way round.
-EARLIER = """(htm ((cabs (x) (plus (var x) (nat 1)))
-                 (cabs (y) (app (var g1) (plus (var y) (var y)))))
-            (habs (g1 g2) (app (var g2) (nat 3))))"""
-LATER = """(htm ((cabs (y) (app (var g2) (plus (var y) (var y))))
-                (cabs (x) (plus (var x) (nat 1))))
-           (habs (g1 g2) (app (var g1) (nat 3))))"""
+EARLIER = """(letfun (g1 g2)
+                    ((cabs (x) (plus (var x) (nat 1)))
+                     (cabs (y) (app (var g1) (plus (var y) (var y)))))
+                    (app (var g2) (nat 3)))"""
+LATER = """(letfun (g1 g2)
+                  ((cabs (y) (app (var g2) (plus (var y) (var y))))
+                   (cabs (x) (plus (var x) (nat 1))))
+                  (app (var g1) (nat 3)))"""
+# The same two programs at cg, whose programs are letfun* too.
+CG_EARLIER = """(letfun (g1 g2)
+                       ((cabs (x) (plus (var x) (nat 1)))
+                        (cabs (y) (let (plus (var y) (var y))
+                                       (v (app (var g1) (var v))))))
+                       (app (var g2) (nat 3)))"""
+CG_LATER = """(letfun (g1 g2)
+                     ((cabs (y) (let (plus (var y) (var y))
+                                     (v (app (var g2) (var v)))))
+                      (cabs (x) (plus (var x) (nat 1))))
+                     (app (var g1) (nat 3)))"""
 
 
 class TestLetfunScope:
@@ -213,3 +226,10 @@ class TestLetfunScope:
         assert not check_letfun_scope(p)
         with pytest.raises(UnboundVariable, match="g2"):
             typecheck_hoisted(p)
+
+    def test_one_scope_check_for_the_cg_program(self):
+        p = parse_stage_artifact(Stage.CG, CG_EARLIER).payload
+        assert check_letfun_scope(p)
+        out, _ = run(parse_stage_artifact(Stage.CG, CG_EARLIER), 100)
+        assert result_nat(out) == 7
+        assert not check_letfun_scope(parse_stage_artifact(Stage.CG, CG_LATER).payload)

@@ -3,18 +3,23 @@
 Along a chain of n lets each pass must use memory linear in n: a scope
 that is copied at every binder keeps n copies of up to n entries alive at
 the deepest point.  Both passes must also stay at one Python frame per term
-level, so the deepest input they accept does not shrink.
+level, so the deepest input they accept does not shrink, and closure
+conversion must not walk a closure's body once per enclosing closure.
 """
 
 import gc
+import sys
 import tracemalloc
 
+from test_hoist import nested_closures
+
+from fcomp import cc_pass
 from fcomp.cc_pass import cc_program
 from fcomp.cps import cps_program
 from fcomp.hoist_pass import hoist
 from fcomp.pipeline import Stage, compile_stages
 from fcomp.surface import parse_source
-from fcomp.term import free_vars
+from fcomp.term import free_vars, subterms
 
 PEAK_LIMIT = 4 * 1024 * 1024
 RETAINED_LIMIT = 1.45 * 1024 * 1024
@@ -44,7 +49,7 @@ def test_cc_and_hoist_peak_memory_is_linear():
 
 
 def test_free_variables_of_a_long_function_body_in_linear_memory():
-    # fvars walks the whole body of every fix with its own bound set.
+    # fvars walks the long body of the fix with one set of names to find.
     lets = ["let x0 = y in"] + [f"let x{i} = x{i - 1} + 1 in" for i in range(1, 1000)]
     body = " ".join(lets) + " x999"
     cps_t = cps_program(parse_source(f"(fun (y:nat). {body}) 1"))
@@ -84,3 +89,25 @@ def test_free_variable_sets_are_shared_along_a_deep_body():
     finally:
         tracemalloc.stop()
     assert retained < FREE_VARS_LIMIT, f"free_vars retains {retained / 2**20:.2f} MB"
+
+
+def test_closure_conversion_calls_grow_linearly_with_closure_nesting():
+    # fvars enters only the subterms where a name it has not found yet is
+    # free, so converting n nested closures makes a few calls per node
+    # (about 1.6 at n = 200).  Re-walking each fix body made 1.13 million
+    # calls on the 5,601 nodes of n = 200.
+    cps_t = cps_program(nested_closures(200, 3)[0])
+    nodes = sum(1 for _ in subterms(cps_t))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == cc_pass.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        cc_program(cps_t)
+    finally:
+        sys.setprofile(None)
+    assert calls < 3 * nodes, f"{calls} calls in cc_pass for {nodes} nodes"

@@ -3,6 +3,7 @@
 import pytest
 
 from fcomp import cc_lang as cc
+from fcomp import cg_lang as cg
 from fcomp import sexpr, term
 from fcomp.errors import ParseError
 from fcomp.pipeline import Stage, compile_stages, parse_stage_artifact
@@ -119,14 +120,11 @@ class TestSexpr:
         assert sexpr.cc_from_sexpr(
             sexpr.read_sexpr(sexpr.render(sexpr.cc_to_sexpr(cc_t)))
         ) == cc_t
-        hp = stages[Stage.HOIST].payload
-        assert sexpr.hoisted_from_sexpr(
-            sexpr.read_sexpr(sexpr.render(sexpr.hoisted_to_sexpr(hp)))
-        ) == hp
-        gp = stages[Stage.CG].payload
-        assert sexpr.cg_program_from_sexpr(
-            sexpr.read_sexpr(sexpr.render(sexpr.cg_program_to_sexpr(gp)))
-        ) == gp
+        for stage, base in ((Stage.HOIST, cc.CCTerm), (Stage.CG, cg.CgTerm)):
+            p = stages[stage].payload
+            assert sexpr.program_from_sexpr(
+                base, sexpr.read_sexpr(sexpr.render(sexpr.program_to_sexpr(p)))
+            ) == p
 
     def test_read_rejects_unbalanced(self):
         with pytest.raises(ParseError):
@@ -191,19 +189,20 @@ class TestSexprNumerals:
         art = parse_stage_artifact(
             Stage.CG, "(letfun () () (let (alloc 2) (p (load (var p) 1))))"
         )
-        assert sexpr.cg_program_to_sexpr(art.payload)[3] == [
+        assert sexpr.program_to_sexpr(art.payload)[3] == [
             "let", ["alloc", "2"], ["p", ["load", ["var", "p"], "1"]]
         ]
 
 
 class TestSexprProgramBinders:
-    """The htm and letfun binder lists are lists of names; anything else is
-    a ParseError rather than a program that fails later."""
+    """The letfun binder list of the hoist and cg stages is a list of
+    names; anything else is a ParseError rather than a program that fails
+    later."""
 
     @pytest.mark.parametrize("stage, text", [
-        (Stage.HOIST, "(htm ((cabs (x) (var x))) (habs ((g)) (nat 1)))"),
+        (Stage.HOIST, "(letfun ((g)) ((cabs (x) (var x))) (nat 1))"),
         (Stage.HOIST,
-         "(htm ((cabs (x) (var x)) (cabs (x) (var x))) (habs gg (nat 1)))"),
+         "(letfun gg ((cabs (x) (var x)) (cabs (x) (var x))) (nat 1))"),
         (Stage.CG, "(letfun ((g)) ((cabs (x) (var x))) (nat 1))"),
         (Stage.CG,
          "(letfun (f (g)) ((cabs (x) (var x)) (cabs (x) (var x))) (nat 1))"),
@@ -212,9 +211,22 @@ class TestSexprProgramBinders:
         with pytest.raises(ParseError):
             parse_stage_artifact(stage, text)
 
+    @pytest.mark.parametrize("stage, text", [
+        (Stage.HOIST, "(letfun (f g) ((cabs (x) (var x))) (nat 1))"),
+        (Stage.CG, "(letfun (g) ((cabs (x) (var x)) (cabs (x) (var x))) (nat 1))"),
+        (Stage.HOIST, "(letfun () () (alloc 2))"),  # a cg term at hoist
+        (Stage.CG, "(letfun () () (clos (var f) unit))"),  # a cc term at cg
+        (Stage.CG, "(letfun () ())"),
+    ])
+    def test_arity_mismatches_and_foreign_terms_are_parse_errors(
+        self, stage, text
+    ):
+        with pytest.raises(ParseError):
+            parse_stage_artifact(stage, text)
+
     def test_name_binders_read_back(self):
         art = parse_stage_artifact(
-            Stage.HOIST, "(htm ((cabs (x) (var x))) (habs (g) (nat 1)))"
+            Stage.HOIST, "(letfun (g) ((cabs (x) (var x))) (nat 1))"
         )
         assert art.payload.binders == ("g",)
         art = parse_stage_artifact(

@@ -230,7 +230,7 @@ def test_free_vars_match_the_reference_at_every_stage():
     for t in programs:
         for artifact in compile_stages(t).values():
             p = artifact.payload
-            if isinstance(p, (cc.HoistedProgram, cg.CgProgram)):
+            if isinstance(p, term.Program):
                 terms = [*p.functions, p.body, term.program_body(p)]
             else:
                 terms = [p]
@@ -289,8 +289,8 @@ def test_walks_take_a_chain_deeper_than_the_recursion_limit():
     with low_recursion_limit():
         assert cg.check_operand_form(lets_)
         assert not cg.check_operand_form(bad)
-        assert check_abs_flat(cc.HoistedProgram(("g",), (fn,), flat))
-        assert not check_abs_flat(cc.HoistedProgram((), (), nested))
+        assert check_abs_flat(term.Program(("g",), (fn,), flat))
+        assert not check_abs_flat(term.Program((), (), nested))
         assert _closure_code_closed(closed)
         assert not _closure_code_closed(open_)
         assert _size(chain(src.Pred, src.NatLit(0))) == CHAIN + 1

@@ -3,7 +3,8 @@
 Terms add abstractions without a self binder, closures and open; types
 distinguish the closure arrow (->) from the code arrow (=>) and include
 rigid skolem constants for the environment type hidden by open.  The module
-also types and runs the hoisted program, a ``term.Program`` of cc terms.
+also types and runs the hoisted program, a ``term.Program`` of cc terms, as
+the cc term it unhoists to (``term.program_body``).
 
 The rules for the constructors shared with the source language are those of
 ``source_lang``: typing extends its ``Inference`` with the cc types and the
@@ -243,12 +244,8 @@ def _mentions_rigid(ty, tags):
 
 class _Inference(Inference):
     """The shared typing rules over the closure-converted types, and the
-    rules of code, closures and open.
-
-    code_ctx lists the bindings closure code is still allowed to mention:
-    empty for plain terms, the top-level function binders in scope for
-    hoisted programs (whose closure code parts are stubs, those binders).
-    Rigid tags are numbered from 1 in each run.
+    rules of code, closures and open.  Closure code is closed and typed in
+    the empty context.  Rigid tags are numbered from 1 in each run.
     """
 
     nat, unit, prod, arrow = CC_NAT, CC_UNIT, CCProd, CodeArrow
@@ -256,7 +253,6 @@ class _Inference(Inference):
     def __init__(self, ans=None):
         super().__init__(ans)
         self.rigids = []
-        self.code_ctx = []
 
     def finish(self, ty):
         ty = super().finish(ty)
@@ -275,11 +271,10 @@ class _Inference(Inference):
                 ctx.pop()
             return CodeArrow(targ, tb)
         if isinstance(t, CClos):
-            allowed = {x for x, _ in self.code_ctx}
-            fv = free_vars(t.code) - allowed
+            fv = free_vars(t.code)
             if fv:
                 raise NonEmptyClosureContext(fv)
-            tcode = self.infer(list(self.code_ctx), t.code)
+            tcode = self.infer([], t.code)
             t1, t2, te = u.fresh(), self.result(), u.fresh()
             pattern = CodeArrow(CCProd(ClosArrow(t1, t2), CCProd(t1, te)), t2)
             try:
@@ -327,20 +322,9 @@ def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
 
 
 def typecheck_hoisted(p: Program, ans: CCType = None) -> CCType:
-    """Type each listed function in the context of the binders before it,
-    then the body in the context of all of them.
-
-    Closure code parts may mention the binders in scope (a stub is one);
-    those are the only names the closed-code check admits.  ans is as for
-    ``typecheck_cc``.
-    """
-    inf = _Inference(ans)
-    ctx = []
-    for binder, fn in zip(p.binders, p.functions):
-        inf.code_ctx = list(ctx)
-        ctx.append((binder, inf.infer(ctx, fn)))
-    inf.code_ctx = list(ctx)
-    return inf.finish(inf.infer(ctx, p.body))
+    """The type of the cc term p unhoists to.  ans is as for
+    ``typecheck_cc``."""
+    return typecheck_cc([], program_body(p), ans)
 
 
 def eval_hoisted(p: Program, fuel: int) -> EvalOutcome:

@@ -16,9 +16,9 @@ class FreshSupply:
     programmatically (which may already contain underscore names) stay safe.
     """
 
-    def __init__(self, avoid=(), start=1):
+    def __init__(self, avoid=()):
         self._avoid = set(avoid)
-        self._n = start
+        self._n = 1
 
     def fresh(self, hint="v"):
         while True:

@@ -28,7 +28,8 @@ from .source_lang import (
     eval_src, typecheck_src, NAT, UNIT, TArrow, TProd,
 )
 from .term import (
-    check_letfun_scope, children, free_vars, program_body, subterms,
+    EvalOutcome, Program, Term, check_letfun_scope, children, free_vars,
+    program_body, subterms, to_sexpr,
 )
 
 
@@ -97,11 +98,7 @@ class ProgramGen:
         r = self.rng.random()
         if depth < 2 and r < 0.15:
             return TProd(self._small_type(depth + 1), self._small_type(depth + 1))
-        if r < 0.55:
-            return NAT
-        if r < 0.7:
-            return UNIT
-        return NAT
+        return UNIT if 0.55 <= r < 0.7 else NAT
 
     def _vars_of(self, ctx, goal):
         return [x for x, ty in ctx if ty == goal]
@@ -200,8 +197,8 @@ def gen_typed_program(cfg: GenConfig) -> SrcTerm:
 
 def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
     """Type and semantics preservation across the whole pipeline for one t.
-    The hoisted program is not run: its round trip to the cc term is
-    checked instead."""
+    The hoisted program is neither typed nor run: its round trip to the cc
+    term is checked instead."""
     if report is None:
         report = Report()
     report.cases += 1
@@ -215,16 +212,15 @@ def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
         fail("compile", "pipeline success", repr(e))
         return report
 
-    # (a) Types are preserved stage by stage, every CPS function and closure
-    # answering nat.  The typecheckers are looked up when called, so that
-    # rebinding a module's name (to trace it) holds.
+    # (a) Types are preserved by cps and closure conversion, every CPS
+    # function and closure answering nat.  The typecheckers are looked up
+    # when called, so that rebinding a module's name (to trace it) holds.
     cps_t, cc_t, hoisted = (
         stages[s].payload for s in (Stage.CPS, Stage.CC, Stage.HOIST)
     )
     for label, typecheck, expected in (
         ("cps-type", lambda: typecheck_src([], cps_t, NAT), NAT),
         ("cc-type", lambda: cc_lang.typecheck_cc([], cc_t, CC_NAT), CC_NAT),
-        ("hoist-type", lambda: cc_lang.typecheck_hoisted(hoisted, CC_NAT), CC_NAT),
     ):
         try:
             ty = typecheck()
@@ -353,12 +349,8 @@ def equiv_fo(T, i: int, v1, v2) -> bool:
     pointwise at products, so it reduces to comparing normalized shapes.
     """
     _check_fo(T)
-    if i < 0:
-        return False
     n1, n2 = _norm_value(v1), _norm_value(v2)
-    if n1[0] == "opaque" or n2[0] == "opaque":
-        return False
-    return n1 == n2
+    return i >= 0 and n1 == n2 and n1[0] != "opaque"
 
 
 def sim_fo(T, i: int, m1, m2, target_fuel: int = 1_000_000) -> bool:
@@ -404,12 +396,7 @@ def shrink(t: SrcTerm, fails) -> SrcTerm:
         if c == t or free_vars(c):
             return False
         try:
-            if typecheck_src([], c) != NAT:
-                return False
-        except FcompError:
-            return False
-        try:
-            return bool(fails(c))
+            return typecheck_src([], c) == NAT and bool(fails(c))
         except FcompError:
             return False
 
@@ -452,12 +439,8 @@ def fuzz(cfg: GenConfig, count: int, check=check_preservation) -> Report:
         before = len(report.failures)
         check(t, cfg.fuel, report)
         for failure in report.failures[before:]:
-            stage = failure.stage
-
-            def still_fails(c, stage=stage):
-                probe = check(c, cfg.fuel)
-                return any(f.stage == stage for f in probe.failures)
-
+            def still_fails(c, stage=failure.stage):
+                return any(f.stage == stage for f in check(c, cfg.fuel).failures)
             failure.shrunk = shrink(failure.term, still_fails)
     return report
 
@@ -471,9 +454,23 @@ def format_report(report: Report, cfg: GenConfig) -> str:
     ]
     for failure in report.failures[:10]:
         lines.append(
-            f"FAIL [{failure.stage}] expected {failure.expected!r} "
-            f"got {failure.actual!r}"
+            f"FAIL [{failure.stage}] expected {_brief(failure.expected)} "
+            f"got {_brief(failure.actual)}"
         )
         witness = failure.shrunk if failure.shrunk is not None else failure.term
         lines.append("  witness: " + render(src_to_sexpr(witness)))
     return "\n".join(lines)
+
+
+def _brief(x) -> str:
+    """An outcome as its kind and steps (and value, if any); a term or program
+    as its head and node count, not the many thousand nodes it may have."""
+    if isinstance(x, EvalOutcome):
+        value = x.kind is Outcome.VALUE
+        return f"{x.kind.value} after {x.steps} steps" + (
+            f": {render(to_sexpr(x.value, to_sexpr))}" if value else "")
+    if isinstance(x, Program):
+        return f"(letfun ...), {sum(map(_size, (*x.functions, x.body)))} nodes"
+    if isinstance(x, Term) and x._noun == "term":
+        return f"({x._head} ...), {_size(x)} nodes"
+    return str(x) if isinstance(x, Term) else repr(x)

@@ -130,7 +130,11 @@ def program_from_sexpr(base, e):
 # Rendering
 
 
-def render(e, indent=0, width=100):
+# The line width render fills.
+_WIDTH = 100
+
+
+def render(e):
     """Pretty-render a nested-list s-expression.
 
     A list that fits in the width left on its line is printed on one line;
@@ -138,12 +142,12 @@ def render(e, indent=0, width=100):
     rendered on a line of its own, indented two more.
     """
     out = []
-    _render(e, indent, width, out)
+    _render(e, 0, out)
     return "".join(out)
 
 
-def _render(e, indent, width, out):
-    flat = _one_line(e, width - indent)
+def _render(e, indent, out):
+    flat = _one_line(e, _WIDTH - indent)
     if flat is not None or isinstance(e, str):
         out.append(e if flat is None else flat)
         return
@@ -153,7 +157,7 @@ def _render(e, indent, width, out):
     pad = "\n" + " " * (indent + 2)
     for x in items:
         out.append(pad)
-        _render(x, indent + 2, width, out)
+        _render(x, indent + 2, out)
     out.append(")")
 
 

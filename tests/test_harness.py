@@ -2,8 +2,9 @@
 
 import pytest
 
-from fcomp import cc_lang, hoist_pass, pipeline
+from fcomp import cc_lang, cg_pass, hoist_pass, pipeline
 from fcomp.cc_lang import CAbs, CVar
+from fcomp.cg_lang import GNat, GPlus
 from fcomp.errors import ArrowTypeUnsupported, UnresolvedTypeVariable
 from fcomp.harness import (
     GenConfig, ProgramGen, Report, _size, check_invariants,
@@ -233,3 +234,34 @@ class TestShrink:
         report = fuzz(cfg, 1, always_fails)
         assert not report.ok
         assert report.failures[0].shrunk == NatLit(0)
+
+
+class TestReport:
+    """format_report prints an outcome as its kind and steps, a term as its
+    head and node count, and the witness whole."""
+
+    def test_a_miscompiled_run_prints_its_outcome_not_its_term(self, monkeypatch):
+        # The pred_plus bug: the cg code of pred a adds 0 instead, so a
+        # count-down never ends.  The residual of the run is not printed.
+        monkeypatch.setattr(cg_pass, "GPred", lambda a: GPlus(a, GNat(0)))
+        report = Report()
+        for text in ("pred 3",
+                     "(fix f (x:nat):nat. ifz x then 0 else f (pred x)) 1"):
+            check_preservation(parse_source(text), 100, report)
+        lines = format_report(report, GenConfig()).splitlines()
+        assert lines[4:] == [
+            "FAIL [cg-eval] expected 2 got Value after 2 steps: (nat 3)",
+            "  witness: (pred (nat 3))",
+            "FAIL [cg-eval] expected 0 got OutOfFuel after 100000 steps",
+            "  witness: (app (fix (f x nat nat) (ifz (var x) (nat 0) "
+            "(app (var f) (pred (var x))))) (nat 1))",
+        ]
+
+    def test_a_broken_round_trip_prints_node_counts(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "hoist", _renaming_hoist)
+        report = check_preservation(parse_source("(fun (y:nat). y) 2"), 100)
+        assert format_report(report, GenConfig()).splitlines()[4:] == [
+            "FAIL [hoist-roundtrip] expected (let ...), 63 nodes "
+            "got (letfun ...), 65 nodes",
+            "  witness: (app (fix (_ y nat _) (var y)) (nat 2))",
+        ]

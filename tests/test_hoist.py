@@ -3,21 +3,30 @@ term, evaluation."""
 
 import pytest
 from test_golden import corpus  # the golden table's inputs
+from test_harness import _renaming_hoist
 
+from fcomp import pipeline
 from fcomp.cc_lang import (
-    CAbs, CApp, CClos, CLet, CNat, CPlus, CVar,
-    CC_NAT, CC_UNITVAL, COpen, eval_hoisted, typecheck_hoisted,
+    CAbs, CApp, CClos, CLet, CNat, CPlus, CVar, CCProd,
+    CC_NAT, CC_UNIT, CC_UNITVAL, COpen, eval_hoisted, typecheck_cc,
+    typecheck_hoisted,
 )
 from fcomp.cc_pass import cc_program
-from fcomp.errors import HoistEscape, UnboundVariable, UnsupportedShape
-from fcomp.harness import GenConfig, ProgramGen
+from fcomp.errors import (
+    HoistEscape, TypeMismatch, UnboundVariable, UnsupportedShape,
+)
+from fcomp.harness import (
+    GenConfig, ProgramGen, check_invariants, check_preservation,
+)
 from fcomp.hoist_pass import check_abs_flat, hoist
 from fcomp.pipeline import (
     STAGE_ORDER, Stage, compile_stages, emit_sexp, parse_stage_artifact,
     result_nat, run,
 )
 from fcomp.term import free_vars as cc_free_vars
-from fcomp.term import check_letfun_scope, program_body, subterms
+from fcomp.term import (
+    Program, check_letfun_scope, program_body, subst, subterms,
+)
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
 
@@ -233,3 +242,90 @@ class TestLetfunScope:
         out, _ = run(parse_stage_artifact(Stage.CG, CG_EARLIER), 100)
         assert result_nat(out) == 7
         assert not check_letfun_scope(parse_stage_artifact(Stage.CG, CG_LATER).payload)
+
+
+# A function that nothing names, ill-typed on its own, and a function named
+# at two types.
+UNNAMED = """(letfun (g1) ((cabs (x) (fst (nat 1)))) (nat 3))"""
+TWICE = """(letfun (g1)
+                  ((cabs (x) (var x)))
+                  (pair (app (var g1) (nat 1)) (app (var g1) unit)))"""
+
+
+class TestTypecheckHoisted:
+    """A hoisted program is typed as the cc term it unhoists to."""
+
+    def _program(self, text):
+        return parse_stage_artifact(Stage.HOIST, text).payload
+
+    def test_earlier_and_later(self):
+        assert typecheck_hoisted(self._program(EARLIER), CC_NAT) == CC_NAT
+        with pytest.raises(UnboundVariable, match="g2"):
+            typecheck_hoisted(self._program(LATER), CC_NAT)
+
+    def test_a_function_nothing_names_is_not_typed(self):
+        # It never runs: program_body drops it.
+        p = self._program(UNNAMED)
+        with pytest.raises(TypeMismatch):
+            typecheck_cc([], p.functions[0])
+        assert typecheck_hoisted(p) == CC_NAT
+
+    def test_a_function_named_twice_is_typed_at_each_name(self):
+        p = self._program(TWICE)
+        assert typecheck_hoisted(p) == CCProd(CC_NAT, CC_UNIT)
+
+
+def _reversed_order(t):
+    """The functions listed last first: a function names a later binder."""
+    p = hoist(t)
+    return Program(p.binders[::-1], p.functions[::-1], p.body)
+
+
+def _swapped_stubs(t):
+    """The first two functions trade binders: each stub names the other."""
+    p = hoist(t)
+    b = p.binders
+    return Program((b[1], b[0]) + b[2:], p.functions, p.body)
+
+
+def _inlined_last(t):
+    """The last function is put back where its stub stood."""
+    p = hoist(t)
+    return Program(p.binders[:-1], p.functions[:-1],
+                   subst({p.binders[-1]: p.functions[-1]}, p.body))
+
+
+# Each hoisting bug, and what check_preservation and check_invariants report
+# on the catalogue's programs.  None of them needs a typecheck of the hoisted
+# program to be reported.
+HOIST_MUTANTS = {
+    "renamed_params": (_renaming_hoist, {"hoist-roundtrip"},
+                       {"hoist-roundtrip"}),
+    "reversed_order": (_reversed_order, {"hoist-roundtrip", "cg-eval"},
+                       {"hoist-roundtrip", "hoist-shape", "cg-shape",
+                        "cc-step", "cg-step"}),
+    "swapped_stubs": (_swapped_stubs, {"hoist-roundtrip", "cg-eval"},
+                      {"hoist-roundtrip", "hoist-shape", "cg-shape",
+                       "cc-step", "cg-step"}),
+    "inlined_last": (_inlined_last, {"compile"}, {"compile"}),
+}
+# Each has two functions or more, the second one nested in another.
+CATALOGUE_PROGRAMS = [
+    "((let x = 3 in fun (y:nat). fun (z:nat). x+y+z) 4) 5",
+    "(fun (y:nat). (fun (z:nat). y+z) 1) 2",
+    "let a = fun (u:nat). u in (fun (y:nat). (fun (z:nat). y+z) 1) 2",
+]
+
+
+@pytest.mark.parametrize("mutant", sorted(HOIST_MUTANTS))
+def test_every_hoist_mutant_is_reported(monkeypatch, mutant):
+    buggy, by_preservation, by_invariants = HOIST_MUTANTS[mutant]
+    monkeypatch.setattr(pipeline, "hoist", buggy)
+    fired_p, fired_i = set(), set()
+    for text in CATALOGUE_PROGRAMS:
+        t = parse_source(text)
+        stages = {f.stage for f in check_preservation(t, 10_000).failures}
+        assert stages, (mutant, text)
+        fired_p |= stages
+        fired_i |= {f.stage for f in check_invariants(t, 10_000).failures}
+    assert (fired_p, fired_i) == (by_preservation, by_invariants)

@@ -2,9 +2,14 @@
 
 import gc
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fcomp
 from fcomp.cli import main
 from fcomp.pipeline import (
     STAGES, Stage, compile, compile_stages, emit_sexp, parse_stage_artifact,
@@ -112,6 +117,17 @@ class TestCli:
         path = self._write(tmp_path, "1 + ()")
         assert self._run(["check", path]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_python_m_fcomp_runs_the_cli(self, tmp_path):
+        src = str(Path(fcomp.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        for text, code, out in ((WORKED, 0, "nat\n"), ("1 + ()", 1, "")):
+            done = subprocess.run(
+                [sys.executable, "-m", "fcomp", "check",
+                 self._write(tmp_path, text)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (done.returncode, done.stdout) == (code, out), done.stderr
 
     def test_missing_file_is_user_error(self, capsys):
         assert self._run(["check", "/nonexistent/prog.src"]) == 1

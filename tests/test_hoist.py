@@ -253,15 +253,11 @@ TWICE = """(letfun (g1)
 
 
 class TestTypecheckHoisted:
-    """A hoisted program is typed as the cc term it unhoists to."""
+    """A hoisted program is typed as the cc term it unhoists to.
+    TestLetfunScope pins EARLIER (nat) and LATER (g2 unbound)."""
 
     def _program(self, text):
         return parse_stage_artifact(Stage.HOIST, text).payload
-
-    def test_earlier_and_later(self):
-        assert typecheck_hoisted(self._program(EARLIER), CC_NAT) == CC_NAT
-        with pytest.raises(UnboundVariable, match="g2"):
-            typecheck_hoisted(self._program(LATER), CC_NAT)
 
     def test_a_function_nothing_names_is_not_typed(self):
         # It never runs: program_body drops it.

@@ -1,6 +1,10 @@
 """The closure-conversion target language.
 
-Terms add abstractions without a self binder, closures and open; types
+Its terms are the source terms but ``fix``, derived from their
+descriptions (``term.derive``): ``CNat``, ``CVar``, ``CPred``, ``CPlus``,
+``CIfz``, ``CUnit``, ``CPair``, ``CFst``, ``CSnd``, ``CLet`` and ``CApp``;
+and three of its own: code abstraction without a self binder (``CAbs``),
+closures (``CClos``) and open (``COpen``).  Types
 distinguish the closure arrow (->) from the code arrow (=>) and include
 rigid skolem constants for the environment type hidden by open.  The module
 also types and runs the hoisted program, a ``term.Program`` of cc terms, as
@@ -14,15 +18,14 @@ value test, which cover those three constructors.
 
 from __future__ import annotations
 
+from . import source_lang as src
 from .errors import (
-    MissingMapping,
-    NonEmptyClosureContext,
-    RigidEscape,
-    TypeMismatch,
+    MissingMapping, NonEmptyClosureContext, RigidEscape, TypeMismatch,
 )
 from .source_lang import Inference, is_value, step_src
 from .term import (
-    EvalOutcome, Program, Term, eval_lets, free_vars, node, program_body,
+    EvalOutcome, Program, Term, derive, eval_lets, free_vars, node,
+    program_body,
 )
 from .unify import UnifyError, nodes
 
@@ -95,60 +98,18 @@ class CCTerm(Term):
     __slots__ = ()
 
 
-@node("(nat #n)")
-class CNat(CCTerm):
-    n: int
-
-
-@node("(var name)", var=True)
-class CVar(CCTerm):
-    name: str
-
-
-@node("(pred arg)")
-class CPred(CCTerm):
-    arg: CCTerm
-
-
-@node("(plus l r)")
-class CPlus(CCTerm):
-    l: CCTerm
-    r: CCTerm
-
-
-@node("(ifz cond zbranch nzbranch)")
-class CIfz(CCTerm):
-    cond: CCTerm
-    zbranch: CCTerm
-    nzbranch: CCTerm
-
-
-@node("unit")
-class CUnit(CCTerm):
-    pass
-
-
-@node("(pair l r)")
-class CPair(CCTerm):
-    l: CCTerm
-    r: CCTerm
-
-
-@node("(fst arg)")
-class CFst(CCTerm):
-    arg: CCTerm
-
-
-@node("(snd arg)")
-class CSnd(CCTerm):
-    arg: CCTerm
-
-
-@node("(let bound (binder body))", binds={"body": ("binder",)})
-class CLet(CCTerm):
-    bound: CCTerm
-    binder: str
-    body: CCTerm
+# The constructors shared with the source language, described there.
+CNat = derive(src.NatLit, CCTerm, "CNat")
+CVar = derive(src.Var, CCTerm, "CVar")
+CPred = derive(src.Pred, CCTerm, "CPred")
+CPlus = derive(src.Plus, CCTerm, "CPlus")
+CIfz = derive(src.Ifz, CCTerm, "CIfz")
+CUnit = derive(src.UnitLit, CCTerm, "CUnit")
+CPair = derive(src.Pair, CCTerm, "CPair")
+CFst = derive(src.Fst, CCTerm, "CFst")
+CSnd = derive(src.Snd, CCTerm, "CSnd")
+CLet = derive(src.Let, CCTerm, "CLet")
+CApp = derive(src.App, CCTerm, "CApp")
 
 
 @node("(cabs (binder) body)", binds={"body": ("binder",)})
@@ -172,12 +133,6 @@ class COpen(CCTerm):
     fbinder: str
     ebinder: str
     body: CCTerm
-
-
-@node("(app fn arg)")
-class CApp(CCTerm):
-    fn: CCTerm
-    arg: CCTerm
 
 
 CC_UNITVAL = CUnit()

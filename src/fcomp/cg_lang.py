@@ -1,65 +1,48 @@
 """The first-order target language with an explicit heap.
 
+Its terms are ``GNat``, ``GVar``, ``GUnit``, ``GPred``, ``GPlus``,
+``GIfz``, ``GApp`` and ``GLet``, derived from the source constructors'
+descriptions (``term.derive``), ``GAbs`` derived from the closure-converted
+``CAbs``, and four of its own: heap locations (``GLoc``), allocation
+(``GAlloc``), and the heap write and read ``GMove`` and ``GLoad``.
 Statements are chains of lets over expressions; pairs and closures live in
-the heap via alloc/move/load.  The machine state is an immutable heap map
-plus a next-free index; stepping threads the state.  A program is a
-``term.Program`` of cg terms, scoped like the hoisted one.
+the heap via alloc/move/load.  The machine state is an immutable tuple of
+heap cells, whose length is the next free index; stepping threads the
+state.  A program is a ``term.Program`` of cg terms, scoped like the
+hoisted one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import HeapExhausted, OutOfBounds
-from .term import Program, Term, eval_lets, node, program_body, subst, subterms
+from . import cc_lang, source_lang as src
+from .errors import OutOfBounds
+from .term import (
+    Program, Term, derive, eval_lets, node, program_body, subst, subterms,
+)
 
 
 class CgTerm(Term):
     __slots__ = ()
 
 
-@node("(nat #n)")
-class GNat(CgTerm):
-    n: int
-
-
-@node("(var name)", var=True)
-class GVar(CgTerm):
-    name: str
-
-
-@node("unit")
-class GUnit(CgTerm):
-    pass
+# The constructors shared with the source and the closure-converted
+# language, described there.
+GNat = derive(src.NatLit, CgTerm, "GNat")
+GVar = derive(src.Var, CgTerm, "GVar")
+GUnit = derive(src.UnitLit, CgTerm, "GUnit")
+GPred = derive(src.Pred, CgTerm, "GPred")
+GPlus = derive(src.Plus, CgTerm, "GPlus")
+GIfz = derive(src.Ifz, CgTerm, "GIfz")
+GApp = derive(src.App, CgTerm, "GApp")
+GLet = derive(src.Let, CgTerm, "GLet")
+GAbs = derive(cc_lang.CAbs, CgTerm, "GAbs")
 
 
 @node("(loc #index)")
 class GLoc(CgTerm):
     index: int
-
-
-@node("(pred arg)")
-class GPred(CgTerm):
-    arg: CgTerm
-
-
-@node("(plus l r)")
-class GPlus(CgTerm):
-    l: CgTerm
-    r: CgTerm
-
-
-@node("(ifz cond zbranch nzbranch)")
-class GIfz(CgTerm):
-    cond: CgTerm
-    zbranch: CgTerm
-    nzbranch: CgTerm
-
-
-@node("(app fn arg)")
-class GApp(CgTerm):
-    fn: CgTerm
-    arg: CgTerm
 
 
 @node("(alloc #n)")
@@ -78,19 +61,6 @@ class GMove(CgTerm):
 class GLoad(CgTerm):
     base: CgTerm
     offset: int
-
-
-@node("(let bound (binder body))", binds={"body": ("binder",)})
-class GLet(CgTerm):
-    bound: CgTerm
-    binder: str
-    body: CgTerm
-
-
-@node("(cabs (binder) body)", binds={"body": ("binder",)})
-class GAbs(CgTerm):
-    binder: str
-    body: CgTerm
 
 
 G_UNITVAL = GUnit()
@@ -112,9 +82,12 @@ def cg_is_value(t: CgTerm) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class MemState:
-    next_free: int = 0
     heap: tuple = ()
-    cap: int = None
+
+    @property
+    def next_free(self) -> int:
+        """The first cell not allocated: the heap holds [0, next_free)."""
+        return len(self.heap)
 
 
 EMPTY_MEM = MemState()
@@ -122,19 +95,14 @@ EMPTY_MEM = MemState()
 
 def allocate(s: MemState, n: int):
     """n fresh cells initialized to unit; returns the base location."""
-    if s.cap is not None and s.next_free + n > s.cap:
-        raise HeapExhausted(f"allocation of {n} cells exceeds cap {s.cap}")
-    base = s.next_free
-    heap = s.heap + (G_UNITVAL,) * n
-    return MemState(base + n, heap, s.cap), GLoc(base)
+    return MemState(s.heap + (G_UNITVAL,) * n), GLoc(s.next_free)
 
 
 def heap_update(s: MemState, base: GLoc, off: int, v: CgTerm) -> MemState:
     i = base.index + off
     if not (0 <= i < s.next_free):
         raise OutOfBounds(f"update at {i}, allocated [0, {s.next_free})")
-    heap = s.heap[:i] + (v,) + s.heap[i + 1 :]
-    return MemState(s.next_free, heap, s.cap)
+    return MemState(s.heap[:i] + (v,) + s.heap[i + 1 :])
 
 
 def heap_lookup(s: MemState, base: GLoc, off: int) -> CgTerm:
@@ -169,8 +137,7 @@ def step_cg(s: MemState, t: CgTerm):
             return s, subst({t.fn.binder: t.arg}, t.fn.body)
         return None
     if isinstance(t, GAlloc):
-        s2, loc = allocate(s, t.n)
-        return s2, loc
+        return allocate(s, t.n)
     if isinstance(t, GMove):
         if isinstance(t.base, GLoc) and cg_is_value(t.value):
             return heap_update(s, t.base, t.offset, t.value), G_UNITVAL
@@ -207,9 +174,9 @@ def eval_cg(s: MemState, t: CgTerm, fuel: int):
     return outcome, mem
 
 
-def eval_cg_program(p: Program, fuel: int, cap=None):
+def eval_cg_program(p: Program, fuel: int):
     """Substitute the top-level functions into the body, run from empty heap."""
-    return eval_cg(MemState(cap=cap), program_body(p), fuel)
+    return eval_cg(EMPTY_MEM, program_body(p), fuel)
 
 
 def check_operand_form(t: CgTerm) -> bool:

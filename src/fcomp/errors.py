@@ -58,10 +58,6 @@ class OutOfBounds(EvalError):
     """A heap access fell outside the allocated region."""
 
 
-class HeapExhausted(EvalError):
-    """Allocation exceeded the configured heap capacity."""
-
-
 class TransformError(FcompError):
     """Base class for failures in the compilation passes."""
 

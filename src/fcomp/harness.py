@@ -3,10 +3,10 @@
 Generates well-typed closed nat-valued programs, pushes them through the
 pipeline, and checks the executable forms of the per-pass theorems: type
 preservation, semantics preservation on terminating runs (hoisting by its
-exact round trip, unhoisting gives back the cc term, rather than by running
-it again), structural invariants of each IR, and the first-order fragment
-of the step-indexed relations.  Failures are shrunk greedily before
-reporting.
+exact round trip, unhoisting gives back the cc term and drops no function,
+rather than by running it again), structural invariants of each IR, and
+the first-order fragment of the step-indexed relations.  Failures are
+shrunk greedily before reporting.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .source_lang import (
     eval_src, typecheck_src, NAT, UNIT, TArrow, TProd,
 )
 from .term import (
-    EvalOutcome, Program, Term, check_letfun_scope, children, free_vars,
-    program_body, subterms, to_sexpr,
+    EvalOutcome, Program, Term, check_letfun_named, check_letfun_scope,
+    children, free_vars, program_body, subterms, to_sexpr,
 )
 
 
@@ -230,8 +230,9 @@ def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
             fail(label, expected, repr(e))
 
     # (b) Hoisting is checked by its round trip: unhoisting gives back the
-    # cc term, so the hoisted program runs exactly the cc term's steps.
-    if program_body(hoisted) != cc_t:
+    # cc term and drops no function, so the hoisted program runs exactly
+    # the cc term's steps and every function is typed as part of it.
+    if program_body(hoisted) != cc_t or not check_letfun_named(hoisted):
         fail("hoist-roundtrip", cc_t, hoisted)
 
     # (c) Terminating source runs are matched by cps, cc and cg.
@@ -277,7 +278,7 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
     hoisted = stages[Stage.HOIST].payload
     if not check_abs_flat(hoisted):
         fail("hoist-shape", "Abs-flat hoisted program", hoisted)
-    if program_body(hoisted) != cc_t:
+    if program_body(hoisted) != cc_t or not check_letfun_named(hoisted):
         fail("hoist-roundtrip", cc_t, hoisted)
     cg_p = stages[Stage.CG].payload
     if not check_program_operand_form(cg_p):

@@ -94,7 +94,7 @@ class StageOps:
     start: Callable = lambda p: (None, p)  # payload -> machine state
     step: Callable = _step_term  # machine state -> machine state, or None
     is_value: Callable = source_lang.is_value  # term -> bool
-    concrete: bool = False  # terms print and read in the surface syntax
+    concrete: bool = False  # terms print in the surface syntax
 
     def show(self, t) -> str:
         """A term of this stage as text."""
@@ -161,10 +161,5 @@ def emit_pretty(artifact: StageArtifact) -> str:
 
 
 def parse_stage_artifact(stage: Stage, text: str) -> StageArtifact:
-    ops = STAGES[stage]
-    if ops.concrete:
-        try:
-            return StageArtifact(stage, surface.parse_source(text))
-        except FcompError:
-            pass
-    return StageArtifact(stage, ops.from_sexpr(sexpr.read_sexpr(text)))
+    """The artifact of the stage whose s-expression (``emit_sexp``) is text."""
+    return StageArtifact(stage, STAGES[stage].from_sexpr(sexpr.read_sexpr(text)))

@@ -18,9 +18,10 @@ canonical form for alpha-equivalence, s-expression printing and reading,
 the child walker that shrinking uses, the preorder walk over every subterm
 (``subterms``) that the shape checks use, the node of another IR with the
 same head (``counterpart``) that the passes build for the constructors the
-IRs share, a builder of let sequences (``lets``) and the let-stack
+IRs share, the classes of those constructors from one description
+(``derive``), a builder of let sequences (``lets``) and the let-stack
 evaluation loop behind every interpreter.  The letfun program of the
-hoisted and cg stages (``Program``), its scope check and its unhoisting
+hoisted and cg stages (``Program``), its scope checks and its unhoisting
 (``program_body``) are here too.  Types have no binders;
 ``unify`` walks and rebuilds them through the same description.
 
@@ -136,6 +137,7 @@ def node(template, binds=None, var=False):
         tmpl = resolve(_parse_template(template))
         kinds = {x[1]: x[0] for x in _leaves(tmpl) if isinstance(x, tuple)}
         assert set(kinds) == set(names), f"{cls.__name__}: {template!r}"
+        cls._description = (template, binds, var)
         cls._is_var = var
         cls._tmpl = tmpl
         cls._children = tuple(
@@ -167,6 +169,18 @@ def node(template, binds=None, var=False):
         return cls
 
     return describe
+
+
+def derive(cls, base, name):
+    """The node class ``name`` of the IR whose term class is ``base``,
+    described as cls, a node class of another IR, is: the same template,
+    binders and fields in the same order, each child typed ``base``.  It
+    belongs to ``base``'s module, as if its class statement stood there."""
+    kids = {f for f, _ in cls._children}
+    types = {f.name: base.__name__ if f.name in kids else f.type for f in fields(cls)}
+    body = {"__annotations__": types, "__module__": base.__module__,
+            "__qualname__": name}
+    return node(*cls._description)(type(name, (base,), body))
 
 
 # Sets the cached free variables past the frozen __setattr__.
@@ -399,6 +413,17 @@ def check_letfun_scope(p: Program) -> bool:
         if not free_vars(fn) <= listed:
             return False
         listed.add(g)
+    return True
+
+
+def check_letfun_named(p: Program) -> bool:
+    """A later function or the body names each binder, so that unhoisting
+    (``program_body``) drops no function."""
+    named = set(free_vars(p.body))
+    for g, fn in zip(reversed(p.binders), reversed(p.functions)):
+        if g not in named:
+            return False
+        named |= free_vars(fn)
     return True
 
 

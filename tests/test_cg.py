@@ -1,17 +1,19 @@
 """Code generation and the heap-explicit target: memory model, stepping,
 operand discipline, and value agreement."""
 
+import dataclasses
+
 import pytest
 
 from fcomp.cc_pass import cc_program
 from fcomp.cg_lang import (
     EMPTY_MEM, G_UNITVAL, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GLoc, GMove,
-    GNat, GPlus, GPred, GVar, MemState, allocate, check_operand_form,
+    GNat, GPlus, GPred, GVar, allocate, check_operand_form,
     check_program_operand_form, eval_cg, eval_cg_program, heap_lookup,
     heap_update, step_cg,
 )
 from fcomp.cg_pass import cgen_program
-from fcomp.errors import HeapExhausted, OutOfBounds
+from fcomp.errors import OutOfBounds
 from fcomp.hoist_pass import hoist
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
@@ -41,6 +43,12 @@ class TestMemoryModel:
         assert (l1, l2) == (GLoc(0), GLoc(2))
         assert s.next_free == 5
 
+    def test_next_free_is_the_heap_length(self):
+        s, _ = allocate(EMPTY_MEM, 3)
+        assert s.next_free == len(s.heap) == 3
+        # Read from the heap, not stored, so the two cannot disagree.
+        assert [f.name for f in dataclasses.fields(s)] == ["heap"]
+
     def test_update_lookup_roundtrip(self):
         s, loc = allocate(EMPTY_MEM, 2)
         s = heap_update(s, loc, 1, GNat(7))
@@ -58,12 +66,6 @@ class TestMemoryModel:
         s, loc = allocate(EMPTY_MEM, 1)
         with pytest.raises(OutOfBounds):
             heap_update(s, loc, 5, GNat(1))
-
-    def test_capacity_exhaustion(self):
-        s = MemState(cap=3)
-        s, _ = allocate(s, 2)
-        with pytest.raises(HeapExhausted):
-            allocate(s, 2)
 
 
 class TestStepping:
@@ -150,8 +152,3 @@ class TestCodegen:
         out, mem = eval_cg_program(compile_cg("fst (4, 7)"), 1000)
         assert out.value == GNat(4)
         assert mem.next_free == 2  # exactly one pair allocated
-
-    def test_heap_capacity_is_enforced(self):
-        p = compile_cg("(fix f (x:nat):nat. ifz x then 0 else f (pred x)) 50")
-        with pytest.raises(HeapExhausted):
-            eval_cg_program(p, 1_000_000, cap=8)

@@ -7,7 +7,7 @@ from test_harness import _renaming_hoist
 
 from fcomp import pipeline
 from fcomp.cc_lang import (
-    CAbs, CApp, CClos, CLet, CNat, CPlus, CVar, CCProd,
+    CAbs, CApp, CClos, CFst, CLet, CNat, CPlus, CVar, CCProd,
     CC_NAT, CC_UNIT, CC_UNITVAL, COpen, eval_hoisted, typecheck_cc,
     typecheck_hoisted,
 )
@@ -25,7 +25,8 @@ from fcomp.pipeline import (
 )
 from fcomp.term import free_vars as cc_free_vars
 from fcomp.term import (
-    Program, check_letfun_scope, program_body, subst, subterms,
+    Program, check_letfun_named, check_letfun_scope, program_body, subst,
+    subterms,
 )
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
@@ -260,11 +261,13 @@ class TestTypecheckHoisted:
         return parse_stage_artifact(Stage.HOIST, text).payload
 
     def test_a_function_nothing_names_is_not_typed(self):
-        # It never runs: program_body drops it.
+        # It never runs: program_body drops it, which the harness reports.
         p = self._program(UNNAMED)
         with pytest.raises(TypeMismatch):
             typecheck_cc([], p.functions[0])
         assert typecheck_hoisted(p) == CC_NAT
+        assert not check_letfun_named(p)
+        assert check_letfun_named(self._program(TWICE))
 
     def test_a_function_named_twice_is_typed_at_each_name(self):
         p = self._program(TWICE)
@@ -291,6 +294,13 @@ def _inlined_last(t):
                    subst({p.binders[-1]: p.functions[-1]}, p.body))
 
 
+def _unnamed_appended(t):
+    """An ill-typed function that nothing names is appended."""
+    p = hoist(t)
+    return Program(p.binders + ("unnamed",),
+                   p.functions + (CAbs("x", CFst(CNat(1))),), p.body)
+
+
 # Each hoisting bug, and what check_preservation and check_invariants report
 # on the catalogue's programs.  None of them needs a typecheck of the hoisted
 # program to be reported.
@@ -304,6 +314,8 @@ HOIST_MUTANTS = {
                       {"hoist-roundtrip", "hoist-shape", "cg-shape",
                        "cc-step", "cg-step"}),
     "inlined_last": (_inlined_last, {"compile"}, {"compile"}),
+    "unnamed_appended": (_unnamed_appended, {"hoist-roundtrip"},
+                         {"hoist-roundtrip"}),
 }
 # Each has two functions or more, the second one nested in another.
 CATALOGUE_PROGRAMS = [

@@ -1,7 +1,8 @@
 """What the benchmark under ``perfbench/`` reads from fcomp.
 
 The traced run wraps fcomp functions by module and name, and counts what
-the passes and the cg evaluator return.  A rename in the package would
+the passes and the cg evaluator return; the mutant workload injects each
+bug by rebinding a name in ``cg_pass``.  A rename in the package would
 otherwise show only when the benchmark runs.  perfbench is loaded from its
 file and not changed.
 """
@@ -13,26 +14,41 @@ from pathlib import Path
 
 import pytest
 
+import fcomp
 from fcomp import cg_lang, harness
-from fcomp.pipeline import Stage, compile_stages
+from fcomp.errors import FcompError
+from fcomp.pipeline import Stage, compile_stages, result_nat, run
 from fcomp.surface import parse_source
-from fcomp.term import subterms
+from fcomp.term import Outcome, subterms
 
-COMMON = Path(__file__).resolve().parent.parent / "perfbench" / "common.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CLOSURES = "((let x = 3 in fun (y:nat). fun (z:nat). x+y+z) 4) 5"
+
+
+def _load(name, path, **imports):
+    """The module at path, loaded under name with the modules imports names
+    importable while it runs."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while they are made.
+    added = {name: module, **imports}
+    sys.modules.update(added)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for key in added:
+            del sys.modules[key]
+    return module
 
 
 @pytest.fixture(scope="module")
 def common():
-    spec = importlib.util.spec_from_file_location("perfbench_common", COMMON)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up while they are made.
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
+    return _load("perfbench_common", PERFBENCH / "common.py")
+
+
+@pytest.fixture(scope="module")
+def mutant(common):
+    return _load("perfbench_mutant", PERFBENCH / "mutant.py", common=common)
 
 
 def test_every_wrapped_function_resolves(common):
@@ -73,3 +89,42 @@ def test_traced_check_counts_every_layer(common):
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert not hasattr(owner, "__wrapped__"), (mod_name, attr)
+
+
+# A program whose cg result each mutant changes.
+MUTANT_PROGRAMS = {
+    "load_offset": ("snd (1, 2)", 2),
+    "plus_dup": ("1 + 2", 3),
+    "pred_plus": ("(fix f (x:nat):nat. ifz x then 0 else f (pred x)) 3", 0),
+}
+
+
+def _cg_result(text):
+    """The cg outcome of text as (kind, value), or the error it raises."""
+    artifact = compile_stages(parse_source(text))[Stage.CG]
+    try:
+        out, _ = run(artifact, 20_000)
+    except FcompError as e:
+        return type(e).__name__
+    return out.kind, result_nat(out)
+
+
+def test_every_mutant_resolves_on_cg_pass(mutant):
+    assert set(mutant.MUTANTS) == set(MUTANT_PROGRAMS)
+    for name, (attr, make) in mutant.MUTANTS.items():
+        original = getattr(fcomp.cg_pass, attr)
+        assert callable(make(original, fcomp.cg_pass)), name
+
+
+@pytest.mark.parametrize("name", sorted(MUTANT_PROGRAMS))
+def test_injecting_a_mutant_changes_the_cg_result(mutant, name):
+    text, value = MUTANT_PROGRAMS[name]
+    clean = (Outcome.VALUE, value)
+    assert _cg_result(text) == clean
+    attr = mutant.MUTANTS[name][0]
+    original = getattr(fcomp.cg_pass, attr)
+    with mutant.Injected(fcomp, name):
+        assert getattr(fcomp.cg_pass, attr) is not original
+        assert _cg_result(text) != clean
+    assert getattr(fcomp.cg_pass, attr) is original
+    assert _cg_result(text) == clean

@@ -11,11 +11,14 @@ import pytest
 
 import fcomp
 from fcomp.cli import main
+from fcomp.cps import cps_transform
+from fcomp.fresh import FreshSupply
 from fcomp.pipeline import (
-    STAGES, Stage, compile, compile_stages, emit_sexp, parse_stage_artifact,
-    result_nat, run,
+    STAGES, Stage, StageArtifact, compile, compile_stages, emit_sexp,
+    parse_stage_artifact, result_nat, run,
 )
 from fcomp.surface import parse_source
+from fcomp.term import all_names
 
 
 WORKED = "let f = fix f (x:nat):nat. x+2 in f 3"
@@ -73,6 +76,18 @@ class TestPipeline:
             text = emit_sexp(artifact)
             back = parse_stage_artifact(stage, text)
             assert back.payload == artifact.payload
+
+    @pytest.mark.parametrize("text", [
+        "x", "var x", "let y = pred x in f (y, z)",
+        "fix g (a:nat):nat. g (a + y)",
+    ])
+    def test_open_source_and_cps_terms_round_trip_through_sexp(self, text):
+        # (var x) would also read as the surface application var x.
+        t = parse_source(text)
+        k = cps_transform(t, lambda v: v, FreshSupply(avoid=all_names(t)))
+        for stage, payload in ((Stage.SOURCE, t), (Stage.CPS, k)):
+            artifact = StageArtifact(stage, payload)
+            assert parse_stage_artifact(stage, emit_sexp(artifact)) == artifact
 
     def test_table_has_every_stage(self):
         assert set(STAGES) == set(Stage)

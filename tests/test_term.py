@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import itertools
 import pickle
 import sys
 
@@ -124,6 +125,44 @@ def test_every_node_roundtrips_and_is_a_dataclass(base, cls):
     for _, other in NODES:
         if [f.name for f in dataclasses.fields(other)] == names:
             assert other.__init__ is cls.__init__
+
+
+def _by_head(base):
+    return {cls._head: cls for b, cls in NODES if b is base}
+
+
+# The node classes of two term IRs that share a head, pair by pair.
+SHARED_NODES = [
+    (a[h], b[h])
+    for a, b in itertools.combinations(map(_by_head, NODE_BASES[:3]), 2)
+    for h in sorted(a.keys() & b.keys())
+]
+
+
+@pytest.mark.parametrize(
+    "x, y", SHARED_NODES, ids=[f"{x.__name__}-{y.__name__}" for x, y in SHARED_NODES]
+)
+def test_a_head_two_irs_share_has_one_description(x, y):
+    """Closure conversion and code generation carry such a node across IRs
+    field by field (term.counterpart), which relies on these agreeing."""
+    for attr in ("_tmpl", "_children", "_binders", "_data"):
+        assert getattr(x, attr) == getattr(y, attr), attr
+    names = [f.name for f in dataclasses.fields(x)]
+    assert [f.name for f in dataclasses.fields(y)] == names
+
+
+@pytest.mark.parametrize("cls, types", [
+    (cc.CLet, ["CCTerm", "str", "CCTerm"]),
+    (cc.CUnit, []),
+    (cg.GNat, ["int"]),
+    (cg.GVar, ["str"]),
+    (cg.GAbs, ["str", "CgTerm"]),
+])
+def test_a_derived_class_reads_as_its_class_statement_would(cls, types):
+    assert [f.type for f in dataclasses.fields(cls)] == types
+    base = cls.__mro__[1]
+    assert (cls.__module__, cls.__qualname__) == (base.__module__, cls.__name__)
+    assert getattr(sys.modules[cls.__module__], cls.__name__) is cls
 
 
 @pytest.mark.parametrize("var, to_sexpr, from_sexpr, t", SAMPLES, ids=SAMPLE_IDS)

@@ -32,8 +32,7 @@ from .cg_pass import cgen_fn, cgen_program, cgen_stmt
 from .pipeline import Stage, StageArtifact, compile, compile_stages, run
 from .surface import parse_source, print_source
 from .harness import (
-    GenConfig, Report, check_preservation, equiv_fo, fuzz, gen_typed_program,
-    shrink, sim_fo,
+    GenConfig, Report, check_preservation, equiv_fo, fuzz, shrink, sim_fo,
 )
 from .fresh import FreshSupply
 

@@ -153,17 +153,13 @@ def map_env(fvs, rho) -> CCTerm:
     return out
 
 
-def map_var(fvs):
-    """e |-> [x1 -> fst e, x2 -> fst (snd e), ...] over the unit-ended tuple."""
-
-    def at(probe):
-        out = []
-        for x in fvs:
-            out.append((x, CFst(probe)))
-            probe = CSnd(probe)
-        return out
-
-    return at
+def map_var(fvs, probe) -> dict:
+    """{x1: fst probe, x2: fst (snd probe), ...} over the unit-ended tuple."""
+    out = {}
+    for x in fvs:
+        out[x] = CFst(probe)
+        probe = CSnd(probe)
+    return out
 
 
 def closure_call_arg(t: COpen):
@@ -220,10 +216,8 @@ class _Inference(Inference):
         if isinstance(t, CAbs):
             targ = u.fresh()
             ctx.append((t.binder, targ))
-            try:
-                tb = self.infer(ctx, t.body)
-            finally:
-                ctx.pop()
+            tb = self.infer(ctx, t.body)
+            ctx.pop()
             return CodeArrow(targ, tb)
         if isinstance(t, CClos):
             fv = free_vars(t.code)
@@ -244,18 +238,11 @@ class _Inference(Inference):
             tag = len(self.rigids) + 1
             self.rigids.append(tag)
             env_ty = Rigid(tag)
-            ctx.append(
-                (
-                    t.fbinder,
-                    CodeArrow(CCProd(ClosArrow(t1, t2), CCProd(t1, env_ty)), t2),
-                )
-            )
-            ctx.append((t.ebinder, env_ty))
-            try:
-                return self.infer(ctx, t.body)
-            finally:
-                ctx.pop()
-                ctx.pop()
+            code_ty = CodeArrow(CCProd(ClosArrow(t1, t2), CCProd(t1, env_ty)), t2)
+            ctx += [(t.fbinder, code_ty), (t.ebinder, env_ty)]
+            ty = self.infer(ctx, t.body)
+            del ctx[-2:]
+            return ty
         raise TypeError(t)
 
 

@@ -23,7 +23,7 @@ from .source_lang import App, Fix, Let, SrcTerm, Var
 from .term import all_names, counterpart, free_vars, lets
 
 
-def fvars(t: SrcTerm, candidates, bound=frozenset()):
+def fvars(t: SrcTerm, candidates):
     """The candidates occurring free in t, duplicate-free, ordered by their
     last free occurrence read left to right; candidates is any container of
     names, e.g. cc_transform's scope.
@@ -32,7 +32,7 @@ def fvars(t: SrcTerm, candidates, bound=frozenset()):
     found yet is free in it (by the cached free variables), so the walk
     stays on the paths to the last occurrences instead of covering t."""
     found = []
-    _last_occurrences(t, candidates, set(free_vars(t) - bound), found)
+    _last_occurrences(t, candidates, set(free_vars(t)), found)
     return found[::-1]
 
 
@@ -96,7 +96,7 @@ def _cc(rho, t, fresh):
         g = fresh.fresh("g")
         y = fresh.fresh("x")
         e = fresh.fresh("e")
-        scope = dict(map_var(fvs)(CVar(e)))
+        scope = map_var(fvs, CVar(e))
         scope[t.selfbinder] = CVar(g)
         scope[t.argbinder] = CVar(y)
         body = _cc(scope, t.body, fresh)

@@ -1,7 +1,8 @@
 """The fcomp command-line tool.
 
-Exit codes: 0 success, 1 user error (bad input, type error, stuck program,
-input nested too deeply), 2 verification counterexample found by fuzzing.
+Exit codes: 0 success, 1 user error (bad usage or input, type error, stuck
+program, input nested too deeply), 2 verification counterexample found by
+fuzzing.
 """
 
 from __future__ import annotations
@@ -17,20 +18,20 @@ from .pipeline import Stage
 from .source_lang import Outcome
 
 
-def _read_file(path):
+def _parse_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return surface.parse_source(fh.read())
 
 
 def cmd_check(args):
-    term = surface.parse_source(_read_file(args.file))
+    term = _parse_file(args.file)
     ty = source_lang.typecheck_src([], term)
     print(ty)
     return 0
 
 
 def cmd_compile(args):
-    term = surface.parse_source(_read_file(args.file))
+    term = _parse_file(args.file)
     stage = Stage(args.stop_after)
     artifact = pipeline.compile(term, stage)
     if args.emit == "pretty":
@@ -46,7 +47,7 @@ def cmd_compile(args):
 
 
 def cmd_run(args):
-    term = surface.parse_source(_read_file(args.file))
+    term = _parse_file(args.file)
     stage = Stage(args.stage)
     artifact = pipeline.compile(term, stage)
     outcome, heap = pipeline.run(artifact, args.fuel)
@@ -61,7 +62,7 @@ def cmd_run(args):
 
 
 def cmd_trace(args):
-    term = surface.parse_source(_read_file(args.file))
+    term = _parse_file(args.file)
     stage = Stage(args.stage)
     ops = pipeline.STAGES[stage]
     state = ops.start(pipeline.compile(term, stage).payload)
@@ -77,13 +78,14 @@ def cmd_trace(args):
 
 
 def cmd_fuzz(args):
-    seed = args.seed
-    env_seed = os.environ.get("FCOMP_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    cfg = GenConfig(
-        seed=seed, max_size=args.max_size, fuel=args.fuel
-    )
+    seed = os.environ.get("FCOMP_SEED", args.seed)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise FcompError("FCOMP_SEED must be an integer") from None
+    if args.max_size < 1:
+        raise FcompError("--max-size must be at least 1")
+    cfg = GenConfig(seed=seed, max_size=args.max_size, fuel=args.fuel)
     report = fuzz(cfg, args.count, check_preservation)
     print(format_report(report, cfg))
     return 0 if report.ok else 2
@@ -135,14 +137,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on bad usage, which is a user error here.
+        sys.exit(1 if e.code else 0)
     try:
         code = args.func(args)
-    except FcompError as e:
-        print(f"error: {e}", file=sys.stderr)
-        code = 1
-    except OSError as e:
+    except (FcompError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         code = 1
     except RecursionError:

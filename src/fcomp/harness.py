@@ -187,37 +187,56 @@ class ProgramGen:
         return Fix(f, x, dom, cod, body)
 
 
-def gen_typed_program(cfg: GenConfig) -> SrcTerm:
-    return ProgramGen(cfg).gen()
-
-
 # ---------------------------------------------------------------------------
 # Differential checks
 
 
-def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
+def _check(body):
+    """The check ``check(t, fuel, report=None)``: it counts t in the report
+    (a new one if none is given) and returns it, compiles t, reports a
+    failed compile as ``compile`` and otherwise runs ``body(t, fuel,
+    stages, fail, report)``, where ``fail(stage, expected, actual)``
+    reports a failure on t."""
+
+    def check(t: SrcTerm, fuel: int, report: Report = None) -> Report:
+        if report is None:
+            report = Report()
+        report.cases += 1
+
+        def fail(stage, expected, actual):
+            report.failures.append(Failure(stage, t, expected, actual))
+
+        try:
+            stages = compile_stages(t)
+        except FcompError as e:
+            fail("compile", "pipeline success", repr(e))
+        else:
+            body(t, fuel, stages, fail, report)
+        return report
+
+    check.__name__ = check.__qualname__ = body.__name__
+    check.__doc__ = body.__doc__
+    return check
+
+
+def _check_roundtrip(stages, fail):
+    """Unhoisting gives back the cc term and drops no function, so the
+    hoisted program runs exactly the cc term's steps and every function is
+    typed as part of it."""
+    cc_t, hoisted = stages[Stage.CC].payload, stages[Stage.HOIST].payload
+    if program_body(hoisted) != cc_t or not check_letfun_named(hoisted):
+        fail("hoist-roundtrip", cc_t, hoisted)
+
+
+@_check
+def check_preservation(t, fuel, stages, fail, report):
     """Type and semantics preservation across the whole pipeline for one t.
     The hoisted program is neither typed nor run: its round trip to the cc
     term is checked instead."""
-    if report is None:
-        report = Report()
-    report.cases += 1
-
-    def fail(stage, expected, actual):
-        report.failures.append(Failure(stage, t, expected, actual))
-
-    try:
-        stages = compile_stages(t)
-    except FcompError as e:
-        fail("compile", "pipeline success", repr(e))
-        return report
-
     # (a) Types are preserved by cps and closure conversion, every CPS
     # function and closure answering nat.  The typecheckers are looked up
     # when called, so that rebinding a module's name (to trace it) holds.
-    cps_t, cc_t, hoisted = (
-        stages[s].payload for s in (Stage.CPS, Stage.CC, Stage.HOIST)
-    )
+    cps_t, cc_t = stages[Stage.CPS].payload, stages[Stage.CC].payload
     for label, typecheck, expected in (
         ("cps-type", lambda: typecheck_src([], cps_t, NAT), NAT),
         ("cc-type", lambda: cc_lang.typecheck_cc([], cc_t, CC_NAT), CC_NAT),
@@ -229,46 +248,30 @@ def check_preservation(t: SrcTerm, fuel: int, report: Report = None) -> Report:
         except FcompError as e:
             fail(label, expected, repr(e))
 
-    # (b) Hoisting is checked by its round trip: unhoisting gives back the
-    # cc term and drops no function, so the hoisted program runs exactly
-    # the cc term's steps and every function is typed as part of it.
-    if program_body(hoisted) != cc_t or not check_letfun_named(hoisted):
-        fail("hoist-roundtrip", cc_t, hoisted)
+    # (b) Hoisting is checked by its round trip.
+    _check_roundtrip(stages, fail)
 
     # (c) Terminating source runs are matched by cps, cc and cg.
     src_out = eval_src(t, fuel)
     if src_out.kind is Outcome.STUCK:
         fail("source-eval", "progress on a well-typed term", src_out)
-        return report
+        return
     if src_out.kind is Outcome.VALUE:
         report.terminating += 1
         n = result_nat(src_out)
         if n is None:
             fail("source-eval", "a nat value", src_out.value)
-            return report
+            return
         for stage in (Stage.CPS, Stage.CC, Stage.CG):
             out, _ = run(stages[stage], max(fuel * 40, 100_000))
             got = result_nat(out) if out.kind is Outcome.VALUE else None
             if got != n:
                 fail(stage.value + "-eval", n, out)
-    return report
 
 
-def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
+@_check
+def check_invariants(t, fuel, stages, fail, report):
     """Structural invariants of each stage plus trace determinism."""
-    if report is None:
-        report = Report()
-    report.cases += 1
-
-    def fail(stage, expected, actual):
-        report.failures.append(Failure(stage, t, expected, actual))
-
-    try:
-        stages = compile_stages(t)
-    except FcompError as e:
-        fail("compile", "pipeline success", repr(e))
-        return report
-
     cps_t = stages[Stage.CPS].payload
     if not _operators_are_vars(cps_t):
         fail("cps-shape", "operators are variables", cps_t)
@@ -278,8 +281,7 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
     hoisted = stages[Stage.HOIST].payload
     if not check_abs_flat(hoisted):
         fail("hoist-shape", "Abs-flat hoisted program", hoisted)
-    if program_body(hoisted) != cc_t or not check_letfun_named(hoisted):
-        fail("hoist-roundtrip", cc_t, hoisted)
+    _check_roundtrip(stages, fail)
     cg_p = stages[Stage.CG].payload
     if not check_program_operand_form(cg_p):
         fail("cg-shape", "constant-or-variable operands", cg_p)
@@ -307,7 +309,6 @@ def check_invariants(t: SrcTerm, fuel: int, report: Report = None) -> Report:
                 fail(ops.step_label, "progress", term)
                 break
             state = n1
-    return report
 
 
 def _operators_are_vars(t: SrcTerm) -> bool:

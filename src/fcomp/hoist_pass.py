@@ -22,10 +22,9 @@ from .fresh import FreshSupply
 from .term import Program, all_names, children, free_vars, subterms
 
 
-def hoist(t: CCTerm, bound=frozenset(), fresh: FreshSupply = None) -> Program:
+def hoist(t: CCTerm, bound=frozenset()) -> Program:
     """Hoist every Abs out of t into a top-level function list."""
-    if fresh is None:
-        fresh = FreshSupply(avoid=all_names(t))
+    fresh = FreshSupply(avoid=all_names(t))
     funcs = {}
     # One scope for the whole walk: a binder is added for its body only if
     # it is not in scope already, and removed again only if added here.

@@ -207,17 +207,22 @@ class Inference:
             raise UnresolvedTypeVariable(f"could not ground inferred type {ty}")
         return ty
 
-    def check(self, ctx, sub, expected):
-        actual = self.infer(ctx, sub)
+    def expect(self, t, actual, expected):
+        """Unify actual with expected, or raise TypeMismatch at t."""
         try:
             self.u.unify(actual, expected)
         except UnifyError:
-            raise TypeMismatch(sub, self.u.zonk(expected), self.u.zonk(actual))
+            raise TypeMismatch(t, self.u.zonk(expected), self.u.zonk(actual))
+
+    def check(self, ctx, sub, expected):
+        actual = self.infer(ctx, sub)
+        self.expect(sub, actual, expected)
         return actual
 
     def infer(self, ctx, t):
         """The type of t under ctx, a list of (name, type) pairs that the
-        rules for binders push onto and pop."""
+        rules for binders push onto and pop.  A run types its own copy of
+        the context and is dropped if it raises, so a raise need not pop."""
         u = self.u
         h = t._head
         if h == "nat":
@@ -251,36 +256,23 @@ class Inference:
         if h == "let":
             tb = self.infer(ctx, t.bound)
             ctx.append((t.binder, tb))
-            try:
-                return self.infer(ctx, t.body)
-            finally:
-                ctx.pop()
+            ty = self.infer(ctx, t.body)
+            ctx.pop()
+            return ty
         if h == "fix":
             t1 = t.argty if t.argty is not None else u.fresh()
             t2 = t.retty if t.retty is not None else self.result()
             arrow = self.arrow(t1, t2)
-            ctx.append((t.selfbinder, arrow))
-            ctx.append((t.argbinder, t1))
-            try:
-                tb = self.infer(ctx, t.body)
-            finally:
-                ctx.pop()
-                ctx.pop()
-            try:
-                u.unify(tb, t2)
-            except UnifyError:
-                raise TypeMismatch(t, u.zonk(t2), u.zonk(tb))
+            ctx += [(t.selfbinder, arrow), (t.argbinder, t1)]
+            tb = self.infer(ctx, t.body)
+            del ctx[-2:]
+            self.expect(t, tb, t2)
             return arrow
         if h == "app":
             tf = self.infer(ctx, t.fn)
             ta = self.infer(ctx, t.arg)
             res = u.fresh()
-            try:
-                u.unify(tf, self.arrow(ta, res))
-            except UnifyError:
-                raise TypeMismatch(
-                    t, self.arrow(u.zonk(ta), u.zonk(res)), u.zonk(tf)
-                )
+            self.expect(t, tf, self.arrow(ta, res))
             return res
         return self.infer_other(ctx, t)
 

@@ -19,6 +19,7 @@ underscore: that namespace belongs to compiler-generated names.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from . import source_lang as src
 from .errors import ParseError
@@ -36,21 +37,12 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<num>\d+)
   | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
-  | (?P<arrow>->)
-  | (?P<sym>[()+:.,=*])
+  | (?P<sym>->|[()+:.,=*])
     """,
     re.VERBOSE,
 )
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _lex(text):
@@ -78,6 +70,16 @@ def _lex(text):
     return tokens
 
 
+def _expected(what, tok):
+    return ParseError(
+        f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.col
+    )
+
+
+# The prefix keywords and the constructors they head.
+_PREFIX = {"pred": src.Pred, "fst": src.Fst, "snd": src.Snd}
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -94,50 +96,49 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+            raise _expected(repr(kind), tok)
         return tok
 
     def ident(self):
-        tok = self.expect("ident")
-        return tok.text
+        return self.expect("ident").text
+
+    def sym(self, text):
+        if not self.accept(text):
+            raise _expected(repr(text), self.peek())
+
+    def accept(self, text):
+        """Whether the symbol text comes next; if so, it is consumed."""
+        tok = self.peek()
+        if tok.kind == "sym" and tok.text == text:
+            self.pos += 1
+            return True
+        return False
 
     # -- types
 
     def type_(self):
         left = self.prod_type()
-        if self.peek().kind == "arrow":
-            self.next()
+        if self.accept("->"):
             return src.TArrow(left, self.type_())
         return left
 
     def prod_type(self):
-        tok = self.peek()
         left = self.atom_type()
-        if self.peek().kind == "sym" and self.peek().text == "*":
-            self.next()
+        if self.accept("*"):
             return src.TProd(left, self.prod_type())
         return left
 
     def atom_type(self):
+        if self.accept("("):
+            ty = self.type_()
+            self.sym(")")
+            return ty
         tok = self.next()
         if tok.kind == "nat":
             return src.NAT
         if tok.kind == "unit":
             return src.UNIT
-        if tok.kind == "sym" and tok.text == "(":
-            ty = self.type_()
-            self.close_paren()
-            return ty
         raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
-
-    def close_paren(self):
-        tok = self.next()
-        if not (tok.kind == "sym" and tok.text == ")"):
-            raise ParseError(f"expected ')', found {tok.text!r}", tok.line, tok.col)
 
     # -- terms
 
@@ -157,38 +158,22 @@ class _Parser:
             bound = self.expr()
             self.expect("in")
             return src.Let(bound, x, self.expr())
-        if tok.kind == "fix":
-            self.next()
-            f = self.ident()
+        if tok.kind == "fix" or tok.kind == "fun":
+            # fix f (x:T):T. e or fun (x:T). e, each type optional.
+            fix = self.next().kind == "fix"
+            f = self.ident() if fix else FUN_SELF
             self.sym("(")
             x = self.ident()
-            argty = retty = None
-            if self.peek_sym(":"):
-                self.sym(":")
-                argty = self.type_()
-            self.close_paren()
-            if self.peek_sym(":"):
-                self.sym(":")
-                retty = self.type_()
+            argty = self.type_() if self.accept(":") else None
+            self.sym(")")
+            retty = self.type_() if fix and self.accept(":") else None
             self.sym(".")
             return src.Fix(f, x, argty, retty, self.expr())
-        if tok.kind == "fun":
-            self.next()
-            self.sym("(")
-            x = self.ident()
-            argty = None
-            if self.peek_sym(":"):
-                self.sym(":")
-                argty = self.type_()
-            self.close_paren()
-            self.sym(".")
-            return src.Fix(FUN_SELF, x, argty, None, self.expr())
         return self.sum()
 
     def sum(self):
         left = self.app()
-        while self.peek_sym("+"):
-            self.sym("+")
+        while self.accept("+"):
             left = src.Plus(left, self.app())
         return left
 
@@ -206,54 +191,27 @@ class _Parser:
         )
 
     def prefix(self):
-        tok = self.peek()
-        if tok.kind == "pred":
+        kind = self.peek().kind
+        if kind in _PREFIX:
             self.next()
-            return src.Pred(self.prefix())
-        if tok.kind == "fst":
-            self.next()
-            return src.Fst(self.prefix())
-        if tok.kind == "snd":
-            self.next()
-            return src.Snd(self.prefix())
+            return _PREFIX[kind](self.prefix())
         return self.atom()
 
     def atom(self):
+        if self.accept("("):
+            if self.accept(")"):
+                return src.UNITVAL
+            e = self.expr()
+            if self.accept(","):
+                e = src.Pair(e, self.expr())
+            self.sym(")")
+            return e
         tok = self.next()
         if tok.kind == "num":
             return src.NatLit(int(tok.text))
         if tok.kind == "ident":
             return src.Var(tok.text)
-        if tok.kind == "sym" and tok.text == "(":
-            if self.peek_sym(")"):
-                self.sym(")")
-                return src.UNITVAL
-            e = self.expr()
-            if self.peek_sym(","):
-                self.sym(",")
-                r = self.expr()
-                self.close_paren()
-                return src.Pair(e, r)
-            self.close_paren()
-            return e
-        raise ParseError(
-            f"expected a term, found {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-        )
-
-    def sym(self, text):
-        tok = self.next()
-        if not (tok.kind == "sym" and tok.text == text):
-            raise ParseError(
-                f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-
-    def peek_sym(self, text):
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+        raise _expected("a term", tok)
 
 
 def parse_source(text: str) -> src.SrcTerm:

@@ -49,14 +49,14 @@ class TestHelpers:
         assert map_env([], {}) == CC_UNITVAL
 
     def test_map_var_projects_positionally(self):
-        rho = dict(map_var(["x", "y"])(CVar("e")))
+        rho = map_var(["x", "y"], CVar("e"))
         assert rho["x"] == CFst(CVar("e"))
         assert rho["y"] == CFst(CSnd(CVar("e")))
 
     def test_map_env_map_var_roundtrip(self):
         # Projecting the built environment yields each image back.
         env = map_env(["x", "y"], {"x": CNat(7), "y": CNat(8)})
-        rho = dict(map_var(["x", "y"])(env))
+        rho = map_var(["x", "y"], env)
         out = eval_cc(rho["x"], 100)
         assert out.value == CNat(7)
         out = eval_cc(rho["y"], 100)

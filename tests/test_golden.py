@@ -15,6 +15,11 @@ form; nothing else in the table changed.
 To re-record after a change that is meant to alter the output::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_table.json
+
+``GENERATED_DIGEST`` pins the same things, and every stage's value dump,
+on the first 100 generated programs of seed 1 as one sha256.  It is
+re-recorded, by printing ``generated_digest()``, only by a change that says
+why its dumps or outcomes change, as for the table.
 """
 
 import hashlib
@@ -26,8 +31,10 @@ from fcomp.harness import GenConfig, ProgramGen
 from fcomp.pipeline import (
     STAGE_ORDER, Stage, compile_stages, emit_sexp, result_nat, run,
 )
+from fcomp.sexpr import render
 from fcomp.source_lang import Outcome
 from fcomp.surface import parse_source
+from fcomp.term import to_sexpr
 
 TABLE = Path(__file__).with_name("golden_table.json")
 
@@ -71,16 +78,27 @@ def corpus():
     return inputs
 
 
-def record(term):
-    """{stage: row} for one source term."""
+# The first 100 programs of ProgramGen(GenConfig(seed=1)), as recorded by
+# generated_digest.
+GENERATED_DIGEST = "94be17941f69b0044dda5c9afb67100d7bae5f3c58705f28e928d38246a64e63"
+
+
+def stage_runs(term):
+    """(stage, s-expression dump, outcome, heap cells) at each stage of term."""
     stages = compile_stages(term)
-    rows = {}
     for stage in STAGE_ORDER:
         artifact = stages[stage]
         fuel = SOURCE_FUEL if stage is Stage.SOURCE else TARGET_FUEL
         out, cells = run(artifact, fuel)
+        yield stage, emit_sexp(artifact), out, cells
+
+
+def record(term):
+    """{stage: row} for one source term."""
+    rows = {}
+    for stage, dump, out, cells in stage_runs(term):
         rows[stage.value] = {
-            "sexp_sha256": hashlib.sha256(emit_sexp(artifact).encode()).hexdigest(),
+            "sexp_sha256": hashlib.sha256(dump.encode()).hexdigest(),
             "kind": out.kind.value,
             "steps": out.steps,
             "heap_cells": cells,
@@ -103,6 +121,21 @@ def test_golden_table():
                 f"first difference: input {name}, stage {stage}: "
                 f"recorded {row}, now {got[name][stage]}"
             )
+
+
+def generated_digest(count=100):
+    h = hashlib.sha256()
+    gen = ProgramGen(GenConfig(seed=1))
+    for _ in range(count):
+        for stage, dump, out, cells in stage_runs(gen.gen()):
+            value = render(to_sexpr(out.value, to_sexpr))
+            h.update(f"{stage.value}\n{dump}\n{out.kind.value} {out.steps} "
+                     f"{cells}\n{value}\n".encode())
+    return h.hexdigest()
+
+
+def test_generated_programs_digest():
+    assert generated_digest() == GENERATED_DIGEST
 
 
 def test_hoisted_steps_equal_cc_steps():

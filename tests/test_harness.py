@@ -8,8 +8,7 @@ from fcomp.cg_lang import GNat, GPlus
 from fcomp.errors import ArrowTypeUnsupported, UnresolvedTypeVariable
 from fcomp.harness import (
     GenConfig, ProgramGen, Report, _size, check_invariants,
-    check_preservation, equiv_fo, format_report, fuzz, gen_typed_program,
-    shrink, sim_fo,
+    check_preservation, equiv_fo, format_report, fuzz, shrink, sim_fo,
 )
 from fcomp.pipeline import Stage, StageArtifact, compile_stages
 from fcomp.source_lang import (
@@ -29,14 +28,14 @@ class TestGenerator:
             assert typecheck_src([], t) == NAT
 
     def test_generation_is_reproducible(self):
-        a = [gen_typed_program(GenConfig(seed=5)) for _ in range(3)]
+        a = [ProgramGen(GenConfig(seed=5)).gen() for _ in range(3)]
         b = ProgramGen(GenConfig(seed=5))
-        assert a[0] == b.gen()
+        assert a[0] == a[1] == a[2] == b.gen()
 
     def test_different_seeds_differ(self):
-        assert gen_typed_program(GenConfig(seed=1)) != gen_typed_program(
+        assert ProgramGen(GenConfig(seed=1)).gen() != ProgramGen(
             GenConfig(seed=2)
-        )
+        ).gen()
 
 
 class TestChecks:

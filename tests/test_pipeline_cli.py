@@ -219,3 +219,32 @@ class TestCli:
         assert self._run(["fuzz", "--count", "2", "--seed", "1",
                           "--max-size", "10"]) == 0
         assert "seed: 99" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--no-such-flag"],
+        ["run", "prog.src", "--stage", "nowhere"],
+        ["compile", "prog.src", "--emit", "html"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_usage_errors_are_user_errors(self, capsys, argv):
+        # Exit code 2 is kept for a counterexample found by fuzzing.
+        assert self._run(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert self._run(["--help"]) == 0
+        assert self._run(["fuzz", "--help"]) == 0
+        assert "--max-size" in capsys.readouterr().out
+
+    def test_fuzz_rejects_a_seed_that_is_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("FCOMP_SEED", "abc")
+        assert self._run(["fuzz", "--count", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: FCOMP_SEED must be an integer\n"
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_fuzz_rejects_a_max_size_below_one(self, capsys, size):
+        assert self._run(["fuzz", "--count", "1", "--max-size", size]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --max-size must be at least 1\n"

@@ -4,11 +4,12 @@ Its terms are the source terms but ``fix``, derived from their
 descriptions (``term.derive``): ``CNat``, ``CVar``, ``CPred``, ``CPlus``,
 ``CIfz``, ``CUnit``, ``CPair``, ``CFst``, ``CSnd``, ``CLet`` and ``CApp``;
 and three of its own: code abstraction without a self binder (``CAbs``),
-closures (``CClos``) and open (``COpen``).  Types
-distinguish the closure arrow (->) from the code arrow (=>) and include
-rigid skolem constants for the environment type hidden by open.  The module
-also types and runs the hoisted program, a ``term.Program`` of cc terms, as
-the cc term it unhoists to (``term.program_body``).
+closures (``CClos``) and open (``COpen``).  Its types ``CCNat``,
+``CCUnit``, ``CCProd`` and the closure arrow ``ClosArrow`` (->) are derived
+from the source types; its own are the code arrow ``CodeArrow`` (=>) and
+rigid skolem constants (``Rigid``) for the environment type hidden by open.
+The module also types and runs the hoisted program, a ``term.Program`` of
+cc terms, as the cc term it unhoists to (``term.program_body``).
 
 The rules for the constructors shared with the source language are those of
 ``source_lang``: typing extends its ``Inference`` with the cc types and the
@@ -39,25 +40,11 @@ class CCType(Term):
     _noun = "type"
 
 
-@node("nat")
-class CCNat(CCType):
-    def __str__(self):
-        return "nat"
-
-
-@node("unit")
-class CCUnit(CCType):
-    def __str__(self):
-        return "unit"
-
-
-@node("(arrow dom cod)")
-class ClosArrow(CCType):
-    dom: CCType
-    cod: CCType
-
-    def __str__(self):
-        return f"({self.dom} -> {self.cod})"
+# The types shared with the source language, described there.
+CCNat = derive(src.TNat, CCType, "CCNat")
+CCUnit = derive(src.TUnit, CCType, "CCUnit")
+ClosArrow = derive(src.TArrow, CCType, "ClosArrow")
+CCProd = derive(src.TProd, CCType, "CCProd")
 
 
 @node("(code dom cod)")
@@ -67,15 +54,6 @@ class CodeArrow(CCType):
 
     def __str__(self):
         return f"({self.dom} => {self.cod})"
-
-
-@node("(prod left right)")
-class CCProd(CCType):
-    left: CCType
-    right: CCType
-
-    def __str__(self):
-        return f"({self.left} * {self.right})"
 
 
 @node("(rigid #tag)")

@@ -8,7 +8,10 @@ descriptions (``term.derive``), ``GAbs`` derived from the closure-converted
 Statements are chains of lets over expressions; pairs and closures live in
 the heap via alloc/move/load.  The machine state is an immutable tuple of
 heap cells, whose length is the next free index; stepping threads the
-state.  A program is a ``term.Program`` of cg terms, scoped like the
+state.  Stepping is the shared relation ``source_lang.step_src`` after
+three rules of its own: a let steps its bound through the heap, an operand
+that is neither a variable nor a value is stuck, and alloc, move and load
+use the heap.  A program is a ``term.Program`` of cg terms, scoped like the
 hoisted one.
 """
 
@@ -18,9 +21,7 @@ from dataclasses import dataclass
 
 from . import cc_lang, source_lang as src
 from .errors import OutOfBounds
-from .term import (
-    Program, Term, derive, eval_lets, node, program_body, subst, subterms,
-)
+from .term import Program, Term, derive, eval_lets, node, program_body, subterms
 
 
 class CgTerm(Term):
@@ -66,14 +67,19 @@ class GLoad(CgTerm):
 G_UNITVAL = GUnit()
 
 
-# The heads of values and of operands, and the fields that hold statements.
-_VALUES = frozenset({"nat", "unit", "loc", "cabs"})
+# The heads of operands in flat code and in a step (variables and values),
+# and the fields that hold statements.
 _OPERANDS = frozenset({"nat", "var", "unit", "loc"})
+_STEP_OPERANDS = _OPERANDS | {"cabs"}
 _STATEMENTS = frozenset({"zbranch", "nzbranch", "bound", "body"})
 
 
-def cg_is_value(t: CgTerm) -> bool:
-    return t._head in _VALUES
+def _flat(t, heads) -> bool:
+    """Whether every operand of t has one of the heads."""
+    for f, _ in t._children:
+        if f not in _STATEMENTS and getattr(t, f)._head not in heads:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +104,20 @@ def allocate(s: MemState, n: int):
     return MemState(s.heap + (G_UNITVAL,) * n), GLoc(s.next_free)
 
 
-def heap_update(s: MemState, base: GLoc, off: int, v: CgTerm) -> MemState:
+def _cell(s: MemState, base: GLoc, off: int, what: str) -> int:
     i = base.index + off
     if not (0 <= i < s.next_free):
-        raise OutOfBounds(f"update at {i}, allocated [0, {s.next_free})")
+        raise OutOfBounds(f"{what} at {i}, allocated [0, {s.next_free})")
+    return i
+
+
+def heap_update(s: MemState, base: GLoc, off: int, v: CgTerm) -> MemState:
+    i = _cell(s, base, off, "update")
     return MemState(s.heap[:i] + (v,) + s.heap[i + 1 :])
 
 
 def heap_lookup(s: MemState, base: GLoc, off: int) -> CgTerm:
-    i = base.index + off
-    if not (0 <= i < s.next_free):
-        raise OutOfBounds(f"lookup at {i}, allocated [0, {s.next_free})")
-    return s.heap[i]
+    return s.heap[_cell(s, base, off, "lookup")]
 
 
 # ---------------------------------------------------------------------------
@@ -117,44 +125,26 @@ def heap_lookup(s: MemState, base: GLoc, off: int) -> CgTerm:
 
 
 def step_cg(s: MemState, t: CgTerm):
-    """One machine step, or None on values and stuck terms."""
-    if cg_is_value(t):
+    """One machine step, or None on values and stuck terms: the three rules
+    of the module docstring, then ``step_src``."""
+    h = t._head
+    if h == "let" and not src.is_value(t.bound):
+        r = step_cg(s, t.bound)
+        return None if r is None else (r[0], GLet(r[1], t.binder, t.body))
+    if not _flat(t, _STEP_OPERANDS):
         return None
-    if isinstance(t, GPred):
-        if isinstance(t.arg, GNat):
-            return s, GNat(max(0, t.arg.n - 1))
-        return None
-    if isinstance(t, GPlus):
-        if isinstance(t.l, GNat) and isinstance(t.r, GNat):
-            return s, GNat(t.l.n + t.r.n)
-        return None
-    if isinstance(t, GIfz):
-        if isinstance(t.cond, GNat):
-            return s, (t.zbranch if t.cond.n == 0 else t.nzbranch)
-        return None
-    if isinstance(t, GApp):
-        if isinstance(t.fn, GAbs) and cg_is_value(t.arg):
-            return s, subst({t.fn.binder: t.arg}, t.fn.body)
-        return None
-    if isinstance(t, GAlloc):
+    if h == "alloc":
         return allocate(s, t.n)
-    if isinstance(t, GMove):
-        if isinstance(t.base, GLoc) and cg_is_value(t.value):
+    if h == "move":
+        if t.base._head == "loc" and src.is_value(t.value):
             return heap_update(s, t.base, t.offset, t.value), G_UNITVAL
         return None
-    if isinstance(t, GLoad):
-        if isinstance(t.base, GLoc):
+    if h == "load":
+        if t.base._head == "loc":
             return s, heap_lookup(s, t.base, t.offset)
         return None
-    if isinstance(t, GLet):
-        if cg_is_value(t.bound):
-            return s, subst({t.binder: t.bound}, t.body)
-        r = step_cg(s, t.bound)
-        if r is None:
-            return None
-        s2, b2 = r
-        return s2, GLet(b2, t.binder, t.body)
-    return None
+    t = src.step_src(t)
+    return None if t is None else (s, t)
 
 
 def eval_cg(s: MemState, t: CgTerm, fuel: int):
@@ -170,7 +160,7 @@ def eval_cg(s: MemState, t: CgTerm, fuel: int):
         mem, u = r
         return u
 
-    outcome = eval_lets(GLet, cg_is_value, step, t, fuel)
+    outcome = eval_lets(GLet, src.is_value, step, t, fuel)
     return outcome, mem
 
 
@@ -182,11 +172,7 @@ def eval_cg_program(p: Program, fuel: int):
 def check_operand_form(t: CgTerm) -> bool:
     """Operands of pred/plus/app/move/load/ifz are constants or variables;
     only the branches of ifz and the parts of let and abs hold statements."""
-    for u in subterms(t):
-        for f, _ in u._children:
-            if f not in _STATEMENTS and getattr(u, f)._head not in _OPERANDS:
-                return False
-    return True
+    return all(_flat(u, _OPERANDS) for u in subterms(t))
 
 
 def check_program_operand_form(p: Program) -> bool:

@@ -83,12 +83,14 @@ def cmd_fuzz(args):
         seed = int(seed)
     except ValueError:
         raise FcompError("FCOMP_SEED must be an integer") from None
-    if args.max_size < 1:
-        raise FcompError("--max-size must be at least 1")
     cfg = GenConfig(seed=seed, max_size=args.max_size, fuel=args.fuel)
     report = fuzz(cfg, args.count, check_preservation)
     print(format_report(report, cfg))
     return 0 if report.ok else 2
+
+
+# The least value of each numeric option.
+_LEAST = {"fuel": 0, "count": 0, "max_steps": 0, "max_size": 1}
 
 
 # The stages in pipeline order; a compile stops after any but the source.
@@ -143,6 +145,10 @@ def main(argv=None):
         # argparse exits 2 on bad usage, which is a user error here.
         sys.exit(1 if e.code else 0)
     try:
+        for name, least in _LEAST.items():
+            if getattr(args, name, least) < least:
+                flag = "--" + name.replace("_", "-")
+                raise FcompError(f"{flag} must be at least {least}")
         code = args.func(args)
     except (FcompError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

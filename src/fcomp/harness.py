@@ -297,7 +297,7 @@ def check_invariants(t, fuel, stages, fail, report):
         state = ops.start(stages[stage].payload)
         for _ in range(budget):
             term = state[1]
-            if ops.is_value(term):
+            if src.is_value(term):
                 if ops.step(state) is not None:
                     fail(ops.step_label, "values do not step", term)
                 break

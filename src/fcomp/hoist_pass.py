@@ -22,13 +22,13 @@ from .fresh import FreshSupply
 from .term import Program, all_names, children, free_vars, subterms
 
 
-def hoist(t: CCTerm, bound=frozenset()) -> Program:
+def hoist(t: CCTerm) -> Program:
     """Hoist every Abs out of t into a top-level function list."""
     fresh = FreshSupply(avoid=all_names(t))
     funcs = {}
     # One scope for the whole walk: a binder is added for its body only if
     # it is not in scope already, and removed again only if added here.
-    body = _hoist(t, set(bound), funcs, fresh)
+    body = _hoist(t, set(), funcs, fresh)
     return Program(tuple(funcs), tuple(funcs.values()), body)
 
 

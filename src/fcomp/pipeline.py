@@ -93,7 +93,6 @@ class StageOps:
     step_label: str  # names a failed check of the machine
     start: Callable = lambda p: (None, p)  # payload -> machine state
     step: Callable = _step_term  # machine state -> machine state, or None
-    is_value: Callable = source_lang.is_value  # term -> bool
     concrete: bool = False  # terms print in the surface syntax
 
     def show(self, t) -> str:
@@ -134,7 +133,6 @@ STAGES = {
         partial(sexpr.program_from_sexpr, cg_lang.CgTerm), "cg-step",
         start=lambda p: (cg_lang.MemState(), program_body(p)),
         step=lambda state: cg_lang.step_cg(*state),
-        is_value=cg_lang.cg_is_value,
     ),
 }
 

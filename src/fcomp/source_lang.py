@@ -9,7 +9,8 @@ The closure-converted language of ``cc_lang`` is this language with code
 abstraction, closures and open in place of ``fix``, so the rules the two
 share live here once: ``Inference`` holds the shared typing rules, which
 ``cc_lang`` extends with its own types and constructors, and ``step_src``
-and ``is_value`` are the reduction relation and value test of both.
+and ``is_value`` are the reduction relation and value test of both, and of
+``cg_lang`` after its own rules.
 """
 
 from __future__ import annotations
@@ -45,16 +46,19 @@ class TUnit(SrcType):
         return "unit"
 
 
+def _wrap(ty, heads):
+    """ty as text, in parentheses if its head (a variable has none) is in heads."""
+    s = str(ty)
+    return f"({s})" if getattr(ty, "_head", None) in heads else s
+
+
 @node("(arrow domain codomain)")
 class TArrow(SrcType):
     domain: SrcType
     codomain: SrcType
 
     def __str__(self):
-        dom = str(self.domain)
-        if isinstance(self.domain, TArrow):
-            dom = f"({dom})"
-        return f"{dom} -> {self.codomain}"
+        return f"{_wrap(self.domain, ('arrow',))} -> {self.codomain}"
 
 
 @node("(prod left right)")
@@ -63,11 +67,8 @@ class TProd(SrcType):
     right: SrcType
 
     def __str__(self):
-        def side(t):
-            s = str(t)
-            return f"({s})" if isinstance(t, (TArrow, TProd)) else s
-
-        return f"{side(self.left)} * {side(self.right)}"
+        heads = ("arrow", "prod")
+        return f"{_wrap(self.left, heads)} * {_wrap(self.right, heads)}"
 
 
 NAT = TNat()
@@ -285,11 +286,11 @@ class Inference:
 # Evaluation
 
 # The heads of the values that have no subterm to evaluate.
-_LEAF_VALUES = frozenset({"nat", "unit", "fix", "cabs"})
+_LEAF_VALUES = frozenset({"nat", "unit", "fix", "cabs", "loc"})
 
 
 def is_value(t) -> bool:
-    """Whether t is a value of the source or the closure-converted language."""
+    """Whether t is a value: the value test of every IR."""
     h = t._head
     if h in _LEAF_VALUES:
         return True
@@ -302,8 +303,8 @@ def is_value(t) -> bool:
 
 def step_src(t):
     """One step of left-to-right call-by-value reduction of a source, cps,
-    cc or hoisted term, or None.  A rebuilt node has the class of the node
-    it replaces, so a step stays in the language of its term."""
+    cc, hoisted or cg term, or None.  A rebuilt node has the class of the
+    node it replaces, so a step stays in the language of its term."""
     if is_value(t):
         return None
     h = t._head

@@ -138,7 +138,7 @@ class _Parser:
             return src.NAT
         if tok.kind == "unit":
             return src.UNIT
-        raise ParseError(f"expected a type, found {tok.text!r}", tok.line, tok.col)
+        raise _expected("a type", tok)
 
     # -- terms
 

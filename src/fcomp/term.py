@@ -174,12 +174,13 @@ def node(template, binds=None, var=False):
 def derive(cls, base, name):
     """The node class ``name`` of the IR whose term class is ``base``,
     described as cls, a node class of another IR, is: the same template,
-    binders and fields in the same order, each child typed ``base``.  It
-    belongs to ``base``'s module, as if its class statement stood there."""
+    binders and fields in the same order, each child typed ``base``, and
+    the same ``__str__``.  It belongs to ``base``'s module, as if its class
+    statement stood there."""
     kids = {f for f, _ in cls._children}
     types = {f.name: base.__name__ if f.name in kids else f.type for f in fields(cls)}
     body = {"__annotations__": types, "__module__": base.__module__,
-            "__qualname__": name}
+            "__qualname__": name, "__str__": cls.__str__}
     return node(*cls._description)(type(name, (base,), body))
 
 

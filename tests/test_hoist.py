@@ -130,17 +130,6 @@ class TestScope:
     """hoist keeps one bound set: a binder is added for its body only if it
     was not in scope, and removed only if it was added there."""
 
-    def test_caller_bound_is_unchanged_after_success(self):
-        bound = {"x"}
-        hoist(CLet(CNat(1), "y", CPlus(CVar("x"), CVar("y"))), bound)
-        assert bound == {"x"}
-
-    def test_caller_bound_is_unchanged_after_unsupported_shape(self):
-        bound = {"x"}
-        with pytest.raises(UnsupportedShape):
-            hoist(CLet(CNat(1), "x", CLet(CNat(2), "y", CVar("zz"))), bound)
-        assert bound == {"x"}
-
     def test_shadowing_binders_keep_the_outer_binding(self):
         # The inner let and abstraction rebind x; x stays bound after them.
         inner = CPlus(

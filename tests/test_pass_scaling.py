@@ -22,6 +22,11 @@ from fcomp.surface import parse_source
 from fcomp.term import free_vars, subterms
 
 PEAK_LIMIT = 4 * 1024 * 1024
+# Each pass's traced peak on a 1,000-term sum chain, with half as much
+# again to spare: 0.408 MB for closure conversion and 0.178 MB for
+# hoisting on CPython 3.11, the same on every run.
+CC_CHAIN_PEAK_LIMIT = 0.6 * 1024 * 1024
+HOIST_CHAIN_PEAK_LIMIT = 0.27 * 1024 * 1024
 RETAINED_LIMIT = 1.45 * 1024 * 1024
 FREE_VARS_LIMIT = 0.6 * 1024 * 1024
 
@@ -42,10 +47,10 @@ def _traced_peak(fn, arg):
 def test_cc_and_hoist_peak_memory_is_linear():
     cps_t = cps_program(_sum_chain(1000))
     peak = _traced_peak(cc_program, cps_t)
-    assert peak < PEAK_LIMIT, f"cc_program peak {peak / 2**20:.1f} MB"
+    assert peak < CC_CHAIN_PEAK_LIMIT, f"cc_program peak {peak / 2**20:.3f} MB"
     cc_t = cc_program(cps_t)
     peak = _traced_peak(hoist, cc_t)
-    assert peak < PEAK_LIMIT, f"hoist peak {peak / 2**20:.1f} MB"
+    assert peak < HOIST_CHAIN_PEAK_LIMIT, f"hoist peak {peak / 2**20:.3f} MB"
 
 
 def test_free_variables_of_a_long_function_body_in_linear_memory():

@@ -248,3 +248,29 @@ class TestCli:
         assert self._run(["fuzz", "--count", "1", "--max-size", size]) == 1
         err = capsys.readouterr().err
         assert err == "error: --max-size must be at least 1\n"
+
+    def test_run_rejects_a_negative_fuel(self, tmp_path, capsys):
+        path = self._write(tmp_path, WORKED)
+        assert self._run(["run", path, "--fuel", "-3"]) == 1
+        assert capsys.readouterr().err == "error: --fuel must be at least 0\n"
+
+    def test_fuzz_rejects_a_negative_fuel(self, capsys):
+        assert self._run(["fuzz", "--count", "1", "--fuel", "-1"]) == 1
+        assert capsys.readouterr().err == "error: --fuel must be at least 0\n"
+
+    def test_fuzz_rejects_a_negative_count(self, capsys):
+        assert self._run(["fuzz", "--count", "-2"]) == 1
+        assert capsys.readouterr().err == "error: --count must be at least 0\n"
+
+    def test_trace_rejects_negative_max_steps(self, tmp_path, capsys):
+        path = self._write(tmp_path, WORKED)
+        assert self._run(["trace", path, "--max-steps", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --max-steps must be at least 0\n"
+
+    def test_a_type_missing_at_end_of_input(self, tmp_path, capsys):
+        f = tmp_path / "prog.src"
+        f.write_text("fun (x:")
+        assert self._run(["check", str(f)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: 1:8: expected a type, found 'end of input'\n"

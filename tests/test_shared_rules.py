@@ -1,6 +1,7 @@
 """The reduction and typing rules the source and closure-converted languages
 share: stuck terms, type error messages and recursion depth, pinned side by
-side in both IRs so that the two keep behaving alike."""
+side in both IRs so that the two keep behaving alike.  The target language
+steps by the same relation, without congruence inside operations."""
 
 import sys
 
@@ -8,20 +9,32 @@ import pytest
 
 from fcomp.cc_lang import (
     CAbs, CApp, CClos, CFst, CLet, CNat, COpen, CPlus, CPred, CVar,
-    CC_UNITVAL, eval_cc, step_cc, typecheck_cc,
+    CC_NAT, CC_UNITVAL, CCProd, ClosArrow, eval_cc, step_cc, typecheck_cc,
+)
+from fcomp.cg_lang import (
+    EMPTY_MEM, GAbs, GApp, GLet, GLoad, GMove, GNat, GPlus, GPred, GVar,
+    eval_cg,
 )
 from fcomp.errors import TypeMismatch
 from fcomp.source_lang import (
-    NAT, App, Fix, Fst, Let, NatLit, Outcome, Plus, Pred, Var, eval_src,
-    step_src, typecheck_src,
+    NAT, App, Fix, Fst, Let, NatLit, Outcome, Plus, Pred, TArrow, TProd, Var,
+    eval_src, step_src, typecheck_src,
 )
+from fcomp.unify import TVar
 
 FN = Fix("f", "x", NAT, NAT, Var("x"))
 CODE = CAbs("p", CVar("p"))
+G_CODE = GAbs("p", GVar("p"))
+
+
+def _eval_cg(t, fuel):
+    return eval_cg(EMPTY_MEM, t, fuel)[0]
+
 
 # (term, evaluator, step count before it is stuck).  Neither the argument of
 # a stuck application nor the right operand after a non-numeral left one is
-# reduced.
+# reduced.  At cg an operand that is not a variable or a value is not
+# reduced either.
 STUCK = [
     (App(NatLit(1), Pred(NatLit(2))), eval_src, 0),
     (CApp(CNat(1), CPred(CNat(2))), eval_cc, 0),
@@ -35,6 +48,14 @@ STUCK = [
     (Plus(FN, Pred(NatLit(3))), eval_src, 0),
     (CPlus(CODE, CPred(CNat(3))), eval_cc, 0),
     (CPlus(CClos(CODE, CC_UNITVAL), CPred(CNat(3))), eval_cc, 0),
+    (GApp(GNat(1), GNat(2)), _eval_cg, 0),
+    (GApp(GNat(1), GPred(GNat(2))), _eval_cg, 0),
+    (GApp(GPred(GNat(2)), GNat(2)), _eval_cg, 0),
+    (GLet(GNat(1), "x", GLoad(GVar("x"), 0)), _eval_cg, 1),
+    (GLet(GNat(1), "x", GMove(GVar("x"), 0, GNat(2))), _eval_cg, 1),
+    (GPlus(G_CODE, GPred(GNat(3))), _eval_cg, 0),
+    (GPlus(G_CODE, GNat(3)), _eval_cg, 0),
+    (GLet(GApp(G_CODE, GVar("y")), "x", GVar("x")), _eval_cg, 0),
 ]
 
 
@@ -57,12 +78,23 @@ def test_stuck_outcome_and_step_count(t, evaluate, steps):
     (Fst(NatLit(1)), typecheck_src,
      "type mismatch at NatLit(n=1): expected ?1 * ?2, got nat"),
     (CFst(CNat(1)), typecheck_cc,
-     "type mismatch at CNat(n=1): expected (?1 * ?2), got nat"),
+     "type mismatch at CNat(n=1): expected ?1 * ?2, got nat"),
 ])
 def test_type_mismatch_message(t, typecheck, message):
     with pytest.raises(TypeMismatch) as e:
         typecheck([], t)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda arrow, prod, nat: arrow(arrow(nat, nat), nat), "(nat -> nat) -> nat"),
+    (lambda arrow, prod, nat: arrow(nat, arrow(nat, TVar(1))), "nat -> nat -> ?1"),
+    (lambda arrow, prod, nat: prod(prod(nat, TVar(1)), arrow(nat, nat)),
+     "(nat * ?1) * (nat -> nat)"),
+])
+def test_a_shared_type_prints_alike_in_both_languages(build, text):
+    assert str(build(TArrow, TProd, NAT)) == text
+    assert str(build(ClosArrow, CCProd, CC_NAT)) == text
 
 
 def _chain(plus, nat, depth):

@@ -131,10 +131,12 @@ def _by_head(base):
     return {cls._head: cls for b, cls in NODES if b is base}
 
 
-# The node classes of two term IRs that share a head, pair by pair.
+# The node classes of two term IRs, or of the two type languages, that
+# share a head, pair by pair.
 SHARED_NODES = [
     (a[h], b[h])
-    for a, b in itertools.combinations(map(_by_head, NODE_BASES[:3]), 2)
+    for bases in (NODE_BASES[:3], NODE_BASES[3:])
+    for a, b in itertools.combinations(map(_by_head, bases), 2)
     for h in sorted(a.keys() & b.keys())
 ]
 
@@ -157,6 +159,7 @@ def test_a_head_two_irs_share_has_one_description(x, y):
     (cg.GNat, ["int"]),
     (cg.GVar, ["str"]),
     (cg.GAbs, ["str", "CgTerm"]),
+    (cc.ClosArrow, ["CCType", "CCType"]),
 ])
 def test_a_derived_class_reads_as_its_class_statement_would(cls, types):
     assert [f.type for f in dataclasses.fields(cls)] == types

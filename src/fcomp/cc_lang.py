@@ -13,8 +13,9 @@ cc terms, as the cc term it unhoists to (``term.program_body``).
 
 The rules for the constructors shared with the source language are those of
 ``source_lang``: typing extends its ``Inference`` with the cc types and the
-rules of code, closures and open, and evaluation uses its step relation and
-value test, which cover those three constructors.
+rules of code, closures and open, and evaluation is its let-stack loop
+``eval_lets`` over its step relation ``step_src`` and value test
+``is_value``, which cover those three constructors.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ from . import source_lang as src
 from .errors import (
     MissingMapping, NonEmptyClosureContext, RigidEscape, TypeMismatch,
 )
-from .source_lang import Inference, is_value, step_src
-from .term import (
-    EvalOutcome, Program, Term, derive, eval_lets, free_vars, node,
-    program_body,
-)
+from .source_lang import Inference, eval_lets, step_src
+from .term import EvalOutcome, Program, Term, derive, free_vars, node, program_body
 from .unify import UnifyError, nodes
 
 
@@ -227,14 +225,11 @@ class _Inference(Inference):
 # ---------------------------------------------------------------------------
 # Evaluation
 
-# The source relation has the rules of code, closures and open.
-cc_is_value = is_value
-step_cc = step_src
-
 
 def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
-    """Iterate step_cc to a value, stuck term, or fuel exhaustion."""
-    return eval_lets(CLet, is_value, step_src, t, fuel)
+    """Iterate step_src, which has the rules of code, closures and open, to
+    a value, stuck term, or fuel exhaustion."""
+    return eval_lets(step_src, t, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import cc_lang, source_lang as src
 from .errors import OutOfBounds
-from .term import Program, Term, derive, eval_lets, node, program_body, subterms
+from .term import Program, Term, derive, node, program_body, subterms
 
 
 class CgTerm(Term):
@@ -160,7 +160,7 @@ def eval_cg(s: MemState, t: CgTerm, fuel: int):
         mem, u = r
         return u
 
-    outcome = eval_lets(GLet, src.is_value, step, t, fuel)
+    outcome = src.eval_lets(step, t, fuel)
     return outcome, mem
 
 

@@ -33,7 +33,7 @@ def cmd_check(args):
 def cmd_compile(args):
     term = _parse_file(args.file)
     stage = Stage(args.stop_after)
-    artifact = pipeline.compile(term, stage)
+    artifact = pipeline.compile_stages(term, stage)[stage]
     if args.emit == "pretty":
         text = pipeline.emit_pretty(artifact)
     else:
@@ -49,7 +49,7 @@ def cmd_compile(args):
 def cmd_run(args):
     term = _parse_file(args.file)
     stage = Stage(args.stage)
-    artifact = pipeline.compile(term, stage)
+    artifact = pipeline.compile_stages(term, stage)[stage]
     outcome, heap = pipeline.run(artifact, args.fuel)
     if outcome.kind is Outcome.VALUE:
         print(f"Value {pipeline.STAGES[stage].show(outcome.value)} "
@@ -65,7 +65,7 @@ def cmd_trace(args):
     term = _parse_file(args.file)
     stage = Stage(args.stage)
     ops = pipeline.STAGES[stage]
-    state = ops.start(pipeline.compile(term, stage).payload)
+    state = ops.start(pipeline.compile_stages(term, stage)[stage].payload)
     i = 0
     while state is not None:
         print(f"{i}: {ops.show_state(state)}")

@@ -11,9 +11,8 @@ shrunk greedily before reporting.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from . import cc_lang, source_lang as src
@@ -22,7 +21,7 @@ from .cg_lang import check_program_operand_form
 from .errors import ArrowTypeUnsupported, FcompError
 from .hoist_pass import check_abs_flat
 from .pipeline import STAGE_ORDER, STAGES, Stage, compile_stages, result_nat, run
-from .sexpr import render, src_to_sexpr
+from .sexpr import render
 from .source_lang import (
     App, Fix, Ifz, Let, NatLit, Outcome, Pair, Plus, Pred, SrcTerm, Var,
     eval_src, typecheck_src, NAT, UNIT, TArrow, TProd,
@@ -376,53 +375,46 @@ def sim_fo(T, i: int, m1, m2, target_fuel: int = 1_000_000) -> bool:
 # Shrinking
 
 
-def _positions(t):
-    """Yield (path, subterm) pairs in preorder; paths are field-name tuples."""
-    yield (), t
-    for f, v, _ in children(t):
-        for path, sub in _positions(v):
-            yield (f,) + path, sub
-
-
-def _replace(t, path, new):
-    if not path:
-        return new
-    head, rest = path[0], path[1:]
-    return dataclasses.replace(t, **{head: _replace(getattr(t, head), rest, new)})
+def _candidates(t):
+    """The terms shrinking tries in place of t, made one at a time: for each
+    subterm that has children, the deepest first and those of one depth in
+    preorder, t with that subterm replaced by 0, then by each child."""
+    levels, level = [], [(t, lambda u: u)]
+    while level:
+        levels.append(level)
+        level = [
+            (v, lambda u, plug=plug, sub=sub, f=f: plug(replace(sub, **{f: u})))
+            for sub, plug in level
+            for f, v, _ in children(sub)
+        ]
+    for level in reversed(levels):
+        for sub, plug in level:
+            kids = children(sub)
+            if kids:
+                yield plug(NatLit(0))
+            for _, v, _ in kids:
+                yield plug(v)
 
 
 def shrink(t: SrcTerm, fails) -> SrcTerm:
-    """Greedy minimization preserving closedness, nat typing, and failure."""
+    """Greedy minimization preserving closedness, nat typing, and failure:
+    the first admissible candidate replaces t, until none is left."""
 
     def admissible(c):
-        if c == t or free_vars(c):
+        if free_vars(c):
             return False
         try:
             return typecheck_src([], c) == NAT and bool(fails(c))
         except FcompError:
             return False
 
-    current = t
-    improved = True
-    while improved:
-        improved = False
-        for path, sub in sorted(
-            _positions(current), key=lambda p: -len(p[0])
-        ):
-            candidates = []
-            if not (isinstance(sub, NatLit) and sub.n == 0):
-                candidates.append(_replace(current, path, NatLit(0)))
-            for _, v, _ in children(sub):
-                if v != sub:
-                    candidates.append(_replace(current, path, v))
-            for c in candidates:
-                if _size(c) < _size(current) and admissible(c):
-                    current = c
-                    improved = True
-                    break
-            if improved:
+    while True:
+        for c in _candidates(t):
+            if admissible(c):
+                t = c
                 break
-    return current
+        else:
+            return t
 
 
 def _size(t):
@@ -460,7 +452,7 @@ def format_report(report: Report, cfg: GenConfig) -> str:
             f"got {_brief(failure.actual)}"
         )
         witness = failure.shrunk if failure.shrunk is not None else failure.term
-        lines.append("  witness: " + render(src_to_sexpr(witness)))
+        lines.append("  witness: " + render(to_sexpr(witness)))
     return "\n".join(lines)
 
 
@@ -470,7 +462,7 @@ def _brief(x) -> str:
     if isinstance(x, EvalOutcome):
         value = x.kind is Outcome.VALUE
         return f"{x.kind.value} after {x.steps} steps" + (
-            f": {render(to_sexpr(x.value, to_sexpr))}" if value else "")
+            f": {render(to_sexpr(x.value))}" if value else "")
     if isinstance(x, Program):
         return f"(letfun ...), {sum(map(_size, (*x.functions, x.body)))} nodes"
     if isinstance(x, Term) and x._noun == "term":

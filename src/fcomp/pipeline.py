@@ -14,7 +14,7 @@ from .cps import cps_program
 from .errors import FcompError
 from .hoist_pass import hoist
 from .source_lang import EvalOutcome
-from .term import program_body, to_sexpr
+from .term import from_sexpr, program_body, to_sexpr
 
 
 class Stage(enum.Enum):
@@ -70,10 +70,6 @@ def compile_stages(t: source_lang.SrcTerm, stop_after: Stage = Stage.CG):
     return out
 
 
-def compile(t: source_lang.SrcTerm, stop_after: Stage = Stage.CG) -> StageArtifact:
-    return compile_stages(t, stop_after)[stop_after]
-
-
 def _step_term(state):
     t = source_lang.step_src(state[1])
     return None if t is None else (None, t)
@@ -113,14 +109,14 @@ def _eval_cg(p, fuel):
 # Source and cps terms share one language.
 _SOURCE = StageOps(
     lambda p, fuel: (source_lang.eval_src(p, fuel), None),
-    sexpr.src_to_sexpr, sexpr.src_from_sexpr, "src-step", concrete=True,
+    to_sexpr, partial(from_sexpr, source_lang.SrcTerm), "src-step", concrete=True,
 )
 STAGES = {
     Stage.SOURCE: _SOURCE,
     Stage.CPS: _SOURCE,
     Stage.CC: StageOps(
         lambda p, fuel: (cc_lang.eval_cc(p, fuel), None),
-        sexpr.cc_to_sexpr, sexpr.cc_from_sexpr, "cc-step",
+        to_sexpr, partial(from_sexpr, cc_lang.CCTerm), "cc-step",
     ),
     Stage.HOIST: StageOps(
         lambda p, fuel: (cc_lang.eval_hoisted(p, fuel), None),

@@ -3,20 +3,16 @@ renderer, and the program form.
 
 Each term or type constructor's shape, e.g. ``(let e (x body))``, ``(fix (f
 x T1 T2) body)`` or ``(arrow T1 T2)``, is the template on its class;
-``term.to_sexpr`` and ``term.from_sexpr`` print and read terms and types
-from those templates.  This module adds the reader and renderer of the text
-and the program form ``(letfun (f1 ... fn) (F1 ... Fn) body)`` of the
-hoisted and cg stages.
+``term.to_sexpr(t)`` and ``term.from_sexpr(base, e)`` print and read the
+terms and types of every IR from those templates, annotations included.
+This module adds the reader and renderer of the text and the program form
+``(letfun (f1 ... fn) (F1 ... Fn) body)`` of the hoisted and cg stages.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 
-from . import cc_lang as cc
-from . import cg_lang as cg
-from . import source_lang as src
 from . import term
 from .errors import ParseError
 
@@ -73,25 +69,6 @@ def read_sexpr(text):
         tok, line, col = toks[pos]
         raise ParseError(f"trailing input: {tok}", line, col)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Terms and types
-
-cc_to_sexpr = cg_to_sexpr = term.to_sexpr
-cc_from_sexpr = functools.partial(term.from_sexpr, cc.CCTerm)
-cg_from_sexpr = functools.partial(term.from_sexpr, cg.CgTerm)
-
-
-# Source terms' type annotations print and read by their templates too.
-def src_to_sexpr(t):
-    return term.to_sexpr(t, term.to_sexpr)
-
-
-def src_from_sexpr(e):
-    return term.from_sexpr(
-        src.SrcTerm, e, functools.partial(term.from_sexpr, src.SrcType)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,17 @@
 Syntax, simple types with unification-based inference and small-step
 call-by-value evaluation.  Binding structure (free variables, substitution,
 alpha-equivalence, s-expressions) comes from the term core in ``term``,
-which describes the types as well.
+which describes the types as well; ``SrcTerm._types`` names them as the
+class that fix's annotations read as.
 
 The closure-converted language of ``cc_lang`` is this language with code
 abstraction, closures and open in place of ``fix``, so the rules the two
 share live here once: ``Inference`` holds the shared typing rules, which
 ``cc_lang`` extends with its own types and constructors, and ``step_src``
 and ``is_value`` are the reduction relation and value test of both, and of
-``cg_lang`` after its own rules.
+``cg_lang`` after its own rules.  Beside them is ``eval_lets``, the
+let-stack loop behind every interpreter, which takes the step relation of
+its term's IR.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import TypeMismatch, UnboundVariable, UnresolvedTypeVariable
-from .term import EvalOutcome, Term, eval_lets, node, subst as subst_apply
+from .term import EvalOutcome, Outcome, Term, node, subst
 
-# The binding operations of source terms, under the names callers use.
-from .term import Outcome, all_names, alpha_eq, free_vars  # noqa: F401
+# The benchmark's mutant check reads free variables through this module.
+from .term import free_vars  # noqa: F401
 from .unify import Unifier, UnifyError, has_tvar
 
 
@@ -81,6 +84,7 @@ UNIT = TUnit()
 
 class SrcTerm(Term):
     __slots__ = ()
+    _types = SrcType
 
 
 @node("(nat #n)")
@@ -341,7 +345,7 @@ def step_src(t):
         return None if a is None else t.__class__(a)
     if h == "let":
         if is_value(t.bound):
-            return subst_apply({t.binder: t.bound}, t.body)
+            return subst({t.binder: t.bound}, t.body)
         b = step_src(t.bound)
         return None if b is None else t.__class__(b, t.binder, t.body)
     if h == "app":
@@ -351,10 +355,10 @@ def step_src(t):
                 a = step_src(t.arg)
                 return None if a is None else t.__class__(fn, a)
             if fn._head == "fix":
-                return subst_apply(
+                return subst(
                     {fn.selfbinder: fn, fn.argbinder: t.arg}, fn.body
                 )
-            return subst_apply({fn.binder: t.arg}, fn.body)
+            return subst({fn.binder: t.arg}, fn.body)
         if is_value(fn):
             return None
         f = step_src(fn)
@@ -371,12 +375,53 @@ def step_src(t):
         if is_value(s):
             if s._head != "clos":
                 return None
-            return subst_apply({t.fbinder: s.code, t.ebinder: s.env}, t.body)
+            return subst({t.fbinder: s.code, t.ebinder: s.env}, t.body)
         s = step_src(s)
         return None if s is None else t.__class__(s, t.fbinder, t.ebinder, t.body)
     return None
 
 
+def eval_lets(step, t, fuel):
+    """Iterate ``step``, the step relation of t's IR, to a value, stuck
+    term, or fuel exhaustion.
+
+    Keeps the enclosing ``let`` frames on an explicit stack so that each step
+    costs time near the redex rather than a walk from the root; popping a
+    frame onto a value is one step, so the step counts agree exactly with
+    iterating the step relation.
+    """
+    let = t._heads["let"]
+    steps = 0
+    stack = []
+    u = t
+    while True:
+        while isinstance(u, let):
+            stack.append((u.binder, u.body))
+            u = u.bound
+        if is_value(u):
+            if not stack:
+                return EvalOutcome(Outcome.VALUE, u, steps)
+            if steps >= fuel:
+                return EvalOutcome(Outcome.OUT_OF_FUEL, _plug(let, stack, u), steps)
+            binder, body = stack.pop()
+            u = subst({binder: u}, body)
+            steps += 1
+            continue
+        if steps >= fuel:
+            return EvalOutcome(Outcome.OUT_OF_FUEL, _plug(let, stack, u), steps)
+        nxt = step(u)
+        if nxt is None:
+            return EvalOutcome(Outcome.STUCK, _plug(let, stack, u), steps)
+        u = nxt
+        steps += 1
+
+
+def _plug(let, stack, u):
+    for binder, body in reversed(stack):
+        u = let(u, binder, body)
+    return u
+
+
 def eval_src(t: SrcTerm, fuel: int) -> EvalOutcome:
     """Iterate step_src to a value, stuck term, or fuel exhaustion."""
-    return eval_lets(Let, is_value, step_src, t, fuel)
+    return eval_lets(step_src, t, fuel)

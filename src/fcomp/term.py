@@ -19,11 +19,14 @@ the child walker that shrinking uses, the preorder walk over every subterm
 (``subterms``) that the shape checks use, the node of another IR with the
 same head (``counterpart``) that the passes build for the constructors the
 IRs share, the classes of those constructors from one description
-(``derive``), a builder of let sequences (``lets``) and the let-stack
-evaluation loop behind every interpreter.  The letfun program of the
-hoisted and cg stages (``Program``), its scope checks and its unhoisting
+(``derive``), a builder of let sequences (``lets``) and the outcome of an
+evaluation (``EvalOutcome``).  The letfun program of the hoisted and cg
+stages (``Program``), its scope checks and its unhoisting
 (``program_body``) are here too.  Types have no binders;
-``unify`` walks and rebuilds them through the same description.
+``unify`` walks and rebuilds them through the same description.  An
+annotation is a type node, so it prints by its own template, and it reads
+as a type of the class that its IR names once on its term class
+(``SrcTerm._types``).
 
 A node's cached free variables may be the very set object of one of its
 children: ``free_vars`` makes a new set only where a node's free variables
@@ -484,8 +487,8 @@ def _nameless(t, env, depth, out):
 # S-expressions
 
 
-def to_sexpr(t, annot=None):
-    """Nested lists of atoms; ``annot`` prints annotation values."""
+def to_sexpr(t):
+    """Nested lists of atoms; an annotation prints as the type it is."""
     if isinstance(t._tmpl, str):
         return t._tmpl
     bare = not t._annots or all(getattr(t, f) is None for f in t._annots)
@@ -499,21 +502,21 @@ def to_sexpr(t, annot=None):
                 out.append([])
                 todo.append((item, out[-1]))
             elif item[0] is CHILD:
-                out.append(to_sexpr(getattr(t, item[1]), annot))
+                out.append(to_sexpr(getattr(t, item[1])))
             elif item[0] is NUM:
                 out.append(str(getattr(t, item[1])))
             elif item[0] is ANNOT:
                 v = getattr(t, item[1])
                 if not bare:
-                    out.append("_" if v is None else annot(v))
+                    out.append("_" if v is None else to_sexpr(v))
             else:
                 out.append(getattr(t, item[1]))
     return root
 
 
-def from_sexpr(base, e, annot=None):
-    """Read a term of the IR whose term (or type) class is ``base``;
-    ``annot`` reads annotation values."""
+def from_sexpr(base, e):
+    """Read a term of the IR whose term (or type) class is ``base``; an
+    annotation reads as a type of the class ``base._types``."""
     if isinstance(e, str):
         if e not in base._atoms:
             raise ParseError(f"bad {base._noun}: {e!r}")
@@ -535,11 +538,11 @@ def from_sexpr(base, e, annot=None):
                 if y != item:
                     raise ParseError(f"bad {base._noun}: {e!r}")
             elif item[0] is CHILD:
-                values[item[1]] = from_sexpr(base, y, annot)
+                values[item[1]] = from_sexpr(base, y)
             elif item[0] is NUM:
                 values[item[1]] = _numeral(y)
             elif item[0] is ANNOT:
-                values[item[1]] = None if y == "_" else annot(y)
+                values[item[1]] = None if y == "_" else from_sexpr(base._types, y)
             elif isinstance(y, str):
                 values[item[1]] = y
             else:
@@ -575,42 +578,3 @@ class EvalOutcome:
     kind: Outcome
     value: object
     steps: int
-
-
-def eval_lets(let, is_value, step, t, fuel):
-    """Iterate ``step`` to a value, stuck term, or fuel exhaustion.
-
-    Keeps the enclosing ``let`` frames on an explicit stack so that each step
-    costs time near the redex rather than a walk from the root; popping a
-    frame onto a value is one step, so the step counts agree exactly with
-    iterating the step relation.
-    """
-    steps = 0
-    stack = []
-    u = t
-    while True:
-        while isinstance(u, let):
-            stack.append((u.binder, u.body))
-            u = u.bound
-        if is_value(u):
-            if not stack:
-                return EvalOutcome(Outcome.VALUE, u, steps)
-            if steps >= fuel:
-                return EvalOutcome(Outcome.OUT_OF_FUEL, _plug(let, stack, u), steps)
-            binder, body = stack.pop()
-            u = subst({binder: u}, body)
-            steps += 1
-            continue
-        if steps >= fuel:
-            return EvalOutcome(Outcome.OUT_OF_FUEL, _plug(let, stack, u), steps)
-        nxt = step(u)
-        if nxt is None:
-            return EvalOutcome(Outcome.STUCK, _plug(let, stack, u), steps)
-        u = nxt
-        steps += 1
-
-
-def _plug(let, stack, u):
-    for binder, body in reversed(stack):
-        u = let(u, binder, body)
-    return u

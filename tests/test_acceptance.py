@@ -21,10 +21,10 @@ from fcomp.harness import (
 from fcomp.hoist_pass import hoist
 from fcomp.pipeline import Stage, compile_stages, result_nat, run
 from fcomp.source_lang import (
-    NAT, UNIT, NatLit, Outcome, Pair, TProd, UnitLit, alpha_eq, eval_src,
-    subst_apply,
+    NAT, UNIT, NatLit, Outcome, Pair, TProd, UnitLit, eval_src,
 )
 from fcomp.surface import parse_source
+from fcomp.term import alpha_eq, subst
 
 FUZZ_CFG = GenConfig(seed=1, max_size=40, fuel=10_000)
 FUZZ_COUNT = 1000
@@ -135,21 +135,21 @@ def test_criterion_6_substitution_laws():
 
         # Identity on closed terms.
         closed = gen.gen()
-        assert subst_apply(s1, closed) == closed
+        assert subst(s1, closed) == closed
 
         # Distribution over term constructors.
-        assert subst_apply(s1, Plus(t, t)) == Plus(
-            subst_apply(s1, t), subst_apply(s1, t)
+        assert subst(s1, Plus(t, t)) == Plus(
+            subst(s1, t), subst(s1, t)
         )
-        assert subst_apply(s1, Pred(t)) == Pred(subst_apply(s1, t))
+        assert subst(s1, Pred(t)) == Pred(subst(s1, t))
 
         # Composition: applying s1 then s2 equals the composed substitution.
-        composed = {x: subst_apply(s2, v) for x, v in s1.items()}
+        composed = {x: subst(s2, v) for x, v in s1.items()}
         for y, v in s2.items():
             if y not in s1:
                 composed[y] = v
         assert alpha_eq(
-            subst_apply(s2, subst_apply(s1, t)), subst_apply(composed, t)
+            subst(s2, subst(s1, t)), subst(composed, t)
         )
 
 

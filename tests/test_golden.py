@@ -128,7 +128,7 @@ def generated_digest(count=100):
     gen = ProgramGen(GenConfig(seed=1))
     for _ in range(count):
         for stage, dump, out, cells in stage_runs(gen.gen()):
-            value = render(to_sexpr(out.value, to_sexpr))
+            value = render(to_sexpr(out.value))
             h.update(f"{stage.value}\n{dump}\n{out.kind.value} {out.steps} "
                      f"{cells}\n{value}\n".encode())
     return h.hexdigest()

@@ -1,5 +1,7 @@
 """Differential harness: generator, checks, relations, shrinking, fuzzing."""
 
+import hashlib
+
 import pytest
 
 from fcomp import cc_lang, cg_pass, hoist_pass, pipeline
@@ -11,12 +13,13 @@ from fcomp.harness import (
     check_preservation, equiv_fo, format_report, fuzz, shrink, sim_fo,
 )
 from fcomp.pipeline import Stage, StageArtifact, compile_stages
+from fcomp.sexpr import render
 from fcomp.source_lang import (
-    NAT, UNIT, Fix, NatLit, Pair, Plus, TArrow, TProd,
+    NAT, UNIT, Fix, NatLit, Outcome, Pair, Plus, TArrow, TProd,
     UnitLit, Var, eval_src, free_vars, typecheck_src,
 )
 from fcomp.surface import parse_source
-from fcomp.term import Program, subst
+from fcomp.term import Program, subst, subterms, to_sexpr
 
 
 class TestGenerator:
@@ -233,6 +236,52 @@ class TestShrink:
         report = fuzz(cfg, 1, always_fails)
         assert not report.ok
         assert report.failures[0].shrunk == NatLit(0)
+
+
+def _has(head):
+    return lambda t: any(u._head == head for u in subterms(t))
+
+
+def _value_at_least(n):
+    def holds(t):
+        out = eval_src(t, 2_000)
+        return out.kind is Outcome.VALUE and out.value.n >= n
+    return holds
+
+
+def _always(t):
+    return True
+
+
+# The probe sequence of the cases below: every term shrinking passes to the
+# predicate, in order, with the verdict, and every witness.
+PROBE_DIGEST = "c532b016da513a5a1d3160b32f09d312f1c3a61726c176183a807511b41dfeb0"
+PROBE_COUNT = 393
+
+
+def test_the_probe_sequence_is_pinned():
+    """Shrinking the first programs of seeds 1-3 under four predicates
+    probes the same terms in the same order: a change to the candidates or
+    to their order shows as a new digest."""
+    h = hashlib.sha256()
+    count = 0
+    for seed in (1, 2, 3):
+        gen = ProgramGen(GenConfig(seed=seed, max_size=25))
+        for _ in range(4):
+            t = gen.gen()
+            for holds in (_has("plus"), _has("app"), _value_at_least(3), _always):
+                if not holds(t):
+                    continue
+
+                def probe(c):
+                    nonlocal count
+                    count += 1
+                    ok = holds(c)
+                    h.update(f"{render(to_sexpr(c))} {ok}\n".encode())
+                    return ok
+
+                h.update(render(to_sexpr(shrink(t, probe))).encode())
+    assert (count, h.hexdigest()) == (PROBE_COUNT, PROBE_DIGEST)
 
 
 class TestReport:

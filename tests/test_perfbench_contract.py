@@ -9,6 +9,8 @@ file and not changed.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,6 +59,42 @@ def test_every_wrapped_function_resolves(common):
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (mod_name, attr)
+
+
+# The names the benchmark reads, by module, besides those it wraps and the
+# one each mutant rebinds.
+READ = {
+    "errors": ["FcompError"],
+    "harness": ["GenConfig", "Report", "check_preservation", "fuzz", "shrink"],
+    "pipeline": [
+        "Stage", "STAGE_ORDER", "compile_stages", "emit_sexp",
+        "parse_stage_artifact", "result_nat", "run",
+    ],
+    "source_lang": ["NAT", "Outcome", "free_vars", "typecheck_src"],
+    "surface": ["parse_source"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(READ))
+def test_every_name_read_resolves(module):
+    for name in READ[module]:
+        assert hasattr(getattr(fcomp, module), name), (module, name)
+
+
+def test_importing_the_package_loads_every_module_read():
+    """The benchmark imports the package alone and reads its modules as
+    attributes, so ``import fcomp`` must load each of them."""
+    modules = [
+        "harness", "pipeline", "cg_pass", "cg_lang", "cc_lang", "source_lang",
+        "surface", "errors",
+    ]
+    code = f"import fcomp; print([m for m in {modules!r} if not hasattr(fcomp, m)])"
+    src = str(Path(fcomp.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_counts_read_from_a_compiled_program(common):

@@ -14,7 +14,7 @@ from fcomp.cli import main
 from fcomp.cps import cps_transform
 from fcomp.fresh import FreshSupply
 from fcomp.pipeline import (
-    STAGES, Stage, StageArtifact, compile, compile_stages, emit_sexp,
+    STAGES, Stage, StageArtifact, compile_stages, emit_sexp,
     parse_stage_artifact, result_nat, run,
 )
 from fcomp.surface import parse_source
@@ -65,7 +65,7 @@ class TestPipeline:
             assert result_nat(out) == 5
 
     def test_cg_run_reports_heap_use(self):
-        artifact = compile(parse_source(WORKED), Stage.CG)
+        artifact = compile_stages(parse_source(WORKED))[Stage.CG]
         out, cells = run(artifact, 100_000)
         assert result_nat(out) == 5
         assert cells > 0

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from fcomp.harness import GenConfig, ProgramGen
 from fcomp.source_lang import (
     NAT, Fix, Ifz, Let, Pair, Plus, Pred, SrcTerm, TProd, Var,
-    alpha_eq, free_vars, subst_apply, typecheck_src,
+    free_vars, typecheck_src,
 )
+from fcomp.term import alpha_eq, subst
 
 CTX = [("u", NAT), ("w", NAT), ("p", TProd(NAT, NAT))]
 
@@ -37,7 +38,7 @@ def substitution(gen, open_images=True):
 
 def compose(s1, s2):
     """The substitution equivalent to applying s1 and then s2."""
-    out = {x: subst_apply(s2, v) for x, v in s1.items()}
+    out = {x: subst(s2, v) for x, v in s1.items()}
     for y, v in s2.items():
         if y not in s1:
             out[y] = v
@@ -50,7 +51,7 @@ def test_identity_on_closed_terms(seed):
     gen = make_gen(seed)
     t = gen.gen()
     assert free_vars(t) == frozenset()
-    assert subst_apply(substitution(gen), t) == t
+    assert subst(substitution(gen), t) == t
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,11 +60,11 @@ def test_distribution_over_constructors(seed):
     gen = make_gen(seed)
     s = substitution(gen)
     a, b, c = (open_term(gen) for _ in range(3))
-    assert subst_apply(s, Plus(a, b)) == Plus(subst_apply(s, a), subst_apply(s, b))
-    assert subst_apply(s, Pred(a)) == Pred(subst_apply(s, a))
-    assert subst_apply(s, Pair(a, b)) == Pair(subst_apply(s, a), subst_apply(s, b))
-    assert subst_apply(s, Ifz(a, b, c)) == Ifz(
-        subst_apply(s, a), subst_apply(s, b), subst_apply(s, c)
+    assert subst(s, Plus(a, b)) == Plus(subst(s, a), subst(s, b))
+    assert subst(s, Pred(a)) == Pred(subst(s, a))
+    assert subst(s, Pair(a, b)) == Pair(subst(s, a), subst(s, b))
+    assert subst(s, Ifz(a, b, c)) == Ifz(
+        subst(s, a), subst(s, b), subst(s, c)
     )
 
 
@@ -74,8 +75,8 @@ def test_composition(seed):
     t = open_term(gen)
     s1 = substitution(gen)
     s2 = substitution(gen)
-    sequential = subst_apply(s2, subst_apply(s1, t))
-    assert alpha_eq(sequential, subst_apply(compose(s1, s2), t))
+    sequential = subst(s2, subst(s1, t))
+    assert alpha_eq(sequential, subst(compose(s1, s2), t))
 
 
 @settings(max_examples=200, deadline=None)
@@ -85,7 +86,7 @@ def test_substitution_preserves_typing(seed):
     t = open_term(gen)
     s = substitution(gen)
     assert typecheck_src(CTX, t) == NAT
-    assert typecheck_src(CTX, subst_apply(s, t)) == NAT
+    assert typecheck_src(CTX, subst(s, t)) == NAT
 
 
 @settings(max_examples=200, deadline=None)
@@ -103,7 +104,7 @@ def _rename_binders(t, gen, depth=0):
     """Uniformly rename every binder to a fresh name."""
     if isinstance(t, Let):
         nb = f"r{depth}_{gen.rng.randint(0, 99)}"
-        body = subst_apply({t.binder: Var(nb)}, t.body)
+        body = subst({t.binder: Var(nb)}, t.body)
         return Let(
             _rename_binders(t.bound, gen, depth + 1),
             nb,
@@ -112,7 +113,7 @@ def _rename_binders(t, gen, depth=0):
     if isinstance(t, Fix):
         nf = f"rf{depth}"
         nx = f"rx{depth}"
-        body = subst_apply({t.selfbinder: Var(nf), t.argbinder: Var(nx)}, t.body)
+        body = subst({t.selfbinder: Var(nf), t.argbinder: Var(nx)}, t.body)
         return Fix(nf, nx, t.argty, t.retty, _rename_binders(body, gen, depth + 1))
     kwargs = {}
     changed = False

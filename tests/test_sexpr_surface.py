@@ -8,8 +8,8 @@ from fcomp import sexpr, term
 from fcomp.errors import ParseError
 from fcomp.pipeline import Stage, compile_stages, parse_stage_artifact
 from fcomp.source_lang import (
-    NAT, App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, SrcType,
-    TArrow, TProd, UNIT, UnitLit, Var,
+    NAT, App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, SrcTerm,
+    SrcType, TArrow, TProd, UNIT, UnitLit, Var,
 )
 from fcomp.surface import parse_source, print_source
 
@@ -97,8 +97,9 @@ class TestSexpr:
     @pytest.mark.parametrize("text", SAMPLES)
     def test_source_roundtrip(self, text):
         t = parse_source(text)
-        e = sexpr.src_to_sexpr(t)
-        assert sexpr.src_from_sexpr(sexpr.read_sexpr(sexpr.render(e))) == t
+        e = term.to_sexpr(t)
+        back = sexpr.read_sexpr(sexpr.render(e))
+        assert term.from_sexpr(SrcTerm, back) == t
 
     def test_type_roundtrip(self):
         for ty in (NAT, UNIT, TArrow(NAT, TProd(NAT, UNIT)),
@@ -113,12 +114,12 @@ class TestSexpr:
         )
         stages = compile_stages(t)
         cps_t = stages[Stage.CPS].payload
-        assert sexpr.src_from_sexpr(
-            sexpr.read_sexpr(sexpr.render(sexpr.src_to_sexpr(cps_t)))
+        assert term.from_sexpr(
+            SrcTerm, sexpr.read_sexpr(sexpr.render(term.to_sexpr(cps_t)))
         ) == cps_t
         cc_t = stages[Stage.CC].payload
-        assert sexpr.cc_from_sexpr(
-            sexpr.read_sexpr(sexpr.render(sexpr.cc_to_sexpr(cc_t)))
+        assert term.from_sexpr(
+            cc.CCTerm, sexpr.read_sexpr(sexpr.render(term.to_sexpr(cc_t)))
         ) == cc_t
         for stage, base in ((Stage.HOIST, cc.CCTerm), (Stage.CG, cg.CgTerm)):
             p = stages[stage].payload

@@ -7,9 +7,10 @@ from fcomp.errors import (
 )
 from fcomp.source_lang import (
     NAT, UNIT, App, Fix, Fst, Ifz, Let, NatLit, Outcome, Pair, Plus, Pred,
-    Snd, TArrow, TProd, UnitLit, Var, alpha_eq, eval_src, free_vars,
-    is_value, step_src, subst_apply, typecheck_src,
+    Snd, TArrow, TProd, UnitLit, Var, eval_src, free_vars, is_value,
+    step_src, typecheck_src,
 )
+from fcomp.term import alpha_eq, subst
 from fcomp.unify import TVar, Unifier, UnifyError, has_tvar
 
 
@@ -170,30 +171,30 @@ class TestUnifier:
 
 class TestSubstitution:
     def test_simple_replacement(self):
-        assert subst_apply({"x": nat(1)}, Plus(Var("x"), Var("y"))) == Plus(
+        assert subst({"x": nat(1)}, Plus(Var("x"), Var("y"))) == Plus(
             nat(1), Var("y")
         )
 
     def test_no_effect_on_closed_terms(self):
         t = Let(nat(1), "x", Plus(Var("x"), nat(2)))
-        assert subst_apply({"x": nat(9), "y": nat(8)}, t) == t
+        assert subst({"x": nat(9), "y": nat(8)}, t) == t
 
     def test_shadowed_binder_blocks_substitution(self):
         t = Let(Var("x"), "x", Var("x"))
-        got = subst_apply({"x": nat(7)}, t)
+        got = subst({"x": nat(7)}, t)
         assert got == Let(nat(7), "x", Var("x"))
 
     def test_capture_avoidance_renames_binder(self):
         # Substituting x for y under a binder named x must rename the binder.
         t = Fix("f", "x", NAT, NAT, Plus(Var("x"), Var("y")))
-        got = subst_apply({"y": Var("x")}, t)
+        got = subst({"y": Var("x")}, t)
         assert free_vars(got) == frozenset({"x"})
         expected = Fix("f", "z", NAT, NAT, Plus(Var("z"), Var("x")))
         assert alpha_eq(got, expected)
 
     def test_simultaneous_swap(self):
         t = Pair(Var("x"), Var("y"))
-        got = subst_apply({"x": Var("y"), "y": Var("x")}, t)
+        got = subst({"x": Var("y"), "y": Var("x")}, t)
         assert got == Pair(Var("y"), Var("x"))
 
 

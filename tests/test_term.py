@@ -56,9 +56,11 @@ CG = [
     G.GAbs("y", G.GPlus(G.GVar("y"), G.GVar("x"))),
 ]
 IRS = [
-    (src.SrcTerm, src.Var, SOURCE, sexpr.src_to_sexpr, sexpr.src_from_sexpr),
-    (cc.CCTerm, cc.CVar, CC, sexpr.cc_to_sexpr, sexpr.cc_from_sexpr),
-    (cg.CgTerm, cg.GVar, CG, sexpr.cg_to_sexpr, sexpr.cg_from_sexpr),
+    (base, var, samples, term.to_sexpr, functools.partial(term.from_sexpr, base))
+    for base, var, samples in (
+        (src.SrcTerm, src.Var, SOURCE), (cc.CCTerm, cc.CVar, CC),
+        (cg.CgTerm, cg.GVar, CG),
+    )
 ]
 IR_IDS = ["source", "cc", "cg"]
 SAMPLES = [(ir[1], ir[3], ir[4], t) for ir in IRS for t in ir[2]]
@@ -104,9 +106,8 @@ def test_every_node_roundtrips_and_is_a_dataclass(base, cls):
     if cls._is_var:
         args["name"] = "x"
     t = cls(**args)
-    text = sexpr.render(term.to_sexpr(t, term.to_sexpr))
-    read_type = functools.partial(term.from_sexpr, src.SrcType)
-    back = term.from_sexpr(base, sexpr.read_sexpr(text), read_type)
+    text = sexpr.render(term.to_sexpr(t))
+    back = term.from_sexpr(base, sexpr.read_sexpr(text))
     assert back == t and type(back) is cls
     assert {f.name for f in dataclasses.fields(t)} == set(args)
     assert dataclasses.replace(t) == t

@@ -14,8 +14,8 @@ cc terms, as the cc term it unhoists to (``term.program_body``).
 The rules for the constructors shared with the source language are those of
 ``source_lang``: typing extends its ``Inference`` with the cc types and the
 rules of code, closures and open, and evaluation is its let-stack loop
-``eval_lets`` over its step relation ``step_src`` and value test
-``is_value``, which cover those three constructors.
+``eval_lets`` over ``step_src`` and ``is_value``, read off its rule table
+``RULES``, which has the rules of closures and open (code is a value).
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ class _Inference(Inference):
 
 
 def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
-    """Iterate step_src, which has the rules of code, closures and open, to
-    a value, stuck term, or fuel exhaustion."""
+    """Iterate step_src, whose rule table has the entries of closures and
+    open, to a value, stuck term, or fuel exhaustion."""
     return eval_lets(step_src, t, fuel)
 
 

@@ -8,11 +8,11 @@ descriptions (``term.derive``), ``GAbs`` derived from the closure-converted
 Statements are chains of lets over expressions; pairs and closures live in
 the heap via alloc/move/load.  The machine state is an immutable tuple of
 heap cells, whose length is the next free index; stepping threads the
-state.  Stepping is the shared relation ``source_lang.step_src`` after
-three rules of its own: a let steps its bound through the heap, an operand
-that is neither a variable nor a value is stuck, and alloc, move and load
-use the heap.  A program is a ``term.Program`` of cg terms, scoped like the
-hoisted one.
+state.  Stepping is the shared relation ``source_lang.step_src``, read off
+the rule table ``source_lang.RULES``, after three rules of its own: a let
+steps its bound through the heap, an operand that is neither a variable
+nor a value is stuck, and alloc, move and load use the heap.  A program
+is a ``term.Program`` of cg terms, scoped like the hoisted one.
 """
 
 from __future__ import annotations

@@ -67,14 +67,20 @@ def cmd_trace(args):
     ops = pipeline.STAGES[stage]
     state = ops.start(pipeline.compile_stages(term, stage)[stage].payload)
     i = 0
-    while state is not None:
+    while True:
         print(f"{i}: {ops.show_state(state)}")
+        nxt = ops.step(state)
+        if nxt is None:
+            break
         if i >= args.max_steps:
             print("...")
-            break
-        state = ops.step(state)
+            return 0
+        state = nxt
         i += 1
-    return 0
+    if source_lang.is_value(state[1]):
+        return 0
+    print(Outcome.STUCK.value)
+    return 1
 
 
 def cmd_fuzz(args):

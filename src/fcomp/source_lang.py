@@ -9,11 +9,11 @@ class that fix's annotations read as.
 The closure-converted language of ``cc_lang`` is this language with code
 abstraction, closures and open in place of ``fix``, so the rules the two
 share live here once: ``Inference`` holds the shared typing rules, which
-``cc_lang`` extends with its own types and constructors, and ``step_src``
-and ``is_value`` are the reduction relation and value test of both, and of
-``cg_lang`` after its own rules.  Beside them is ``eval_lets``, the
-let-stack loop behind every interpreter, which takes the step relation of
-its term's IR.
+``cc_lang`` extends with its own types and constructors, and the table
+``RULES`` is the reduction relation of both, and of ``cg_lang`` after its
+own rules.  The step relation ``step_src`` and the value test ``is_value``
+are read off it.  Beside them is ``eval_lets``, the let-stack loop behind
+every interpreter, which takes the step relation of its term's IR.
 """
 
 from __future__ import annotations
@@ -289,96 +289,86 @@ class Inference:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+def _apply(t):
+    """The body of t's code with its binders substituted."""
+    fn = t.fn
+    if fn._head == "fix":
+        return subst({fn.selfbinder: fn, fn.argbinder: t.arg}, fn.body)
+    return subst({fn.binder: t.arg}, fn.body)
+
+
+# The reduction relation of every IR, one entry per head that steps: the
+# children evaluated, left to right, each with the heads its value must
+# have for the rule to apply (None: any), and the contraction of the node
+# once they are values, or None when the node is then a value itself.  The
+# evaluated children are a node's first fields, in field order.
+RULES = {
+    "pred": ((("arg", {"nat"}),),
+             lambda t: t.arg.__class__(max(0, t.arg.n - 1))),
+    "plus": ((("l", {"nat"}), ("r", {"nat"})),
+             lambda t: t.l.__class__(t.l.n + t.r.n)),
+    "ifz": ((("cond", {"nat"}),),
+            lambda t: t.zbranch if t.cond.n == 0 else t.nzbranch),
+    "pair": ((("l", None), ("r", None)), None),
+    "fst": ((("arg", {"pair"}),), lambda t: t.arg.l),
+    "snd": ((("arg", {"pair"}),), lambda t: t.arg.r),
+    "let": ((("bound", None),), lambda t: subst({t.binder: t.bound}, t.body)),
+    "app": ((("fn", {"fix", "cabs"}), ("arg", None)), _apply),
+    # The closure-converted language alone has these.
+    "clos": ((("code", None), ("env", None)), None),
+    "open": ((("scrutinee", {"clos"}),), lambda t: subst(
+        {t.fbinder: t.scrutinee.code, t.ebinder: t.scrutinee.env}, t.body)),
+}
+
 # The heads of the values that have no subterm to evaluate.
 _LEAF_VALUES = frozenset({"nat", "unit", "fix", "cabs", "loc"})
 
-
-def is_value(t) -> bool:
-    """Whether t is a value: the value test of every IR."""
-    h = t._head
-    if h in _LEAF_VALUES:
-        return True
-    if h == "pair":
-        return is_value(t.l) and is_value(t.r)
-    if h == "clos":
-        return is_value(t.code) and is_value(t.env)
-    return False
+# is_value, read off the rules: a node is a value when its head is a leaf
+# value's, or when its rule has no contraction and its evaluated children
+# are values.  It is compiled, so that a child is read as an attribute,
+# which costs less than getattr on the millions of calls of a fuzz run.
+exec("\n".join([
+    "def is_value(t):",
+    '    """Whether t is a value: the value test of every IR."""',
+    "    h = t._head",
+    "    if h in _LEAF_VALUES:",
+    "        return True",
+    *(f"    if h == {h!r}:\n        return "
+      + " and ".join(f"is_value(t.{f})" for f, _ in kids)
+      for h, (kids, contract) in RULES.items() if contract is None),
+    "    return False",
+]))
 
 
 def step_src(t):
     """One step of left-to-right call-by-value reduction of a source, cps,
-    cc, hoisted or cg term, or None.  A rebuilt node has the class of the
-    node it replaces, so a step stays in the language of its term."""
-    if is_value(t):
+    cc, hoisted or cg term, or None: by t's rule, step the first evaluated
+    child that is not a value; stuck if one that is has a head the rule does
+    not take; else contract.  A rebuilt node has the class of the node it
+    replaces, so a step stays in the language of its term."""
+    rule = RULES.get(t._head)
+    if rule is None:
         return None
-    h = t._head
-    if h == "pred":
-        a = t.arg
-        if a._head == "nat":
-            return a.__class__(max(0, a.n - 1))
-        a = step_src(a)
-        return None if a is None else t.__class__(a)
-    if h == "plus":
-        if t.l._head == "nat":
-            if t.r._head == "nat":
-                return t.l.__class__(t.l.n + t.r.n)
-            r = step_src(t.r)
-            return None if r is None else t.__class__(t.l, r)
-        l = step_src(t.l)
-        return None if l is None else t.__class__(l, t.r)
-    if h == "ifz":
-        if t.cond._head == "nat":
-            return t.zbranch if t.cond.n == 0 else t.nzbranch
-        c = step_src(t.cond)
-        return None if c is None else t.__class__(c, t.zbranch, t.nzbranch)
-    if h == "pair":
-        if is_value(t.l):
-            r = step_src(t.r)
-            return None if r is None else t.__class__(t.l, r)
-        l = step_src(t.l)
-        return None if l is None else t.__class__(l, t.r)
-    if h == "fst" or h == "snd":
-        a = t.arg
-        if a._head == "pair" and is_value(a):
-            return a.l if h == "fst" else a.r
-        a = step_src(a)
-        return None if a is None else t.__class__(a)
-    if h == "let":
-        if is_value(t.bound):
-            return subst({t.binder: t.bound}, t.body)
-        b = step_src(t.bound)
-        return None if b is None else t.__class__(b, t.binder, t.body)
-    if h == "app":
-        fn = t.fn
-        if fn._head == "fix" or fn._head == "cabs":
-            if not is_value(t.arg):
-                a = step_src(t.arg)
-                return None if a is None else t.__class__(fn, a)
-            if fn._head == "fix":
-                return subst(
-                    {fn.selfbinder: fn, fn.argbinder: t.arg}, fn.body
-                )
-            return subst({fn.binder: t.arg}, fn.body)
-        if is_value(fn):
-            return None
-        f = step_src(fn)
-        return None if f is None else t.__class__(f, t.arg)
-    # The closure-converted language alone has these.
-    if h == "clos":
-        if is_value(t.code):
-            e = step_src(t.env)
-            return None if e is None else t.__class__(t.code, e)
-        c = step_src(t.code)
-        return None if c is None else t.__class__(c, t.env)
-    if h == "open":
-        s = t.scrutinee
-        if is_value(s):
-            if s._head != "clos":
+    kids, contract = rule
+    # The evaluated children are the first fields; a counter indexes them
+    # at less cost than enumerate.
+    args = t._values(t)
+    if t._unary:
+        args = (args,)
+    i = 0
+    for _, heads in kids:
+        c = args[i]
+        if not is_value(c):
+            c = step_src(c)
+            if c is None:
                 return None
-            return subst({t.fbinder: s.code, t.ebinder: s.env}, t.body)
-        s = step_src(s)
-        return None if s is None else t.__class__(s, t.fbinder, t.ebinder, t.body)
-    return None
+            args = list(args)
+            args[i] = c
+            return t.__class__(*args)
+        if heads is not None and c._head not in heads:
+            return None
+        i += 1
+    return None if contract is None else contract(t)
 
 
 def eval_lets(step, t, fuel):

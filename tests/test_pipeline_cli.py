@@ -186,6 +186,28 @@ class TestCli:
         assert lines[0].startswith("0:")
         assert lines[-1].endswith("0")  # final value
 
+    @pytest.mark.parametrize("source, max_steps, trace", [
+        ("1 2", "0", "0: 1 2\n"),
+        ("(pred 2) 2", "1", "0: pred 2 2\n1: 1 2\n"),
+        ("(pred 2) 2", "100", "0: pred 2 2\n1: 1 2\n"),
+    ])
+    def test_trace_of_a_stuck_program_ends_stuck(self, tmp_path, capsys,
+                                                 source, max_steps, trace):
+        # As `fcomp run` does: Stuck after the last state, and exit 1, also
+        # when the last state is the one the trace stops at.
+        path = self._write(tmp_path, source)
+        assert self._run(["trace", path, "--max-steps", max_steps]) == 1
+        assert capsys.readouterr().out == trace + "Stuck\n"
+        assert self._run(["run", path]) == 1
+        assert capsys.readouterr().out == "Stuck\n"
+
+    def test_trace_stops_with_dots_only_before_a_step(self, tmp_path, capsys):
+        path = self._write(tmp_path, "pred 2")
+        assert self._run(["trace", path, "--max-steps", "0"]) == 0
+        assert capsys.readouterr().out == "0: pred 2\n...\n"
+        assert self._run(["trace", path, "--max-steps", "1"]) == 0
+        assert capsys.readouterr().out == "0: pred 2\n1: 1\n"
+
     def test_trace_cg_shows_heap_pointer(self, tmp_path, capsys):
         path = self._write(tmp_path, "fst (1, 2)")
         assert self._run(["trace", path, "--stage", "cg", "--max-steps", "50"]) == 0

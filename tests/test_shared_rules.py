@@ -1,24 +1,27 @@
 """The reduction and typing rules the source and closure-converted languages
 share: stuck terms, type error messages and recursion depth, pinned side by
 side in both IRs so that the two keep behaving alike.  The target language
-steps by the same relation, without congruence inside operations."""
+steps by the same relation, without congruence inside operations.  The
+relation's rule table covers every head of the three IRs."""
 
+import dataclasses
 import sys
 
 import pytest
 
 from fcomp.cc_lang import (
     CAbs, CApp, CClos, CFst, CLet, CNat, COpen, CPlus, CPred, CVar,
-    CC_NAT, CC_UNITVAL, CCProd, ClosArrow, eval_cc, typecheck_cc,
+    CC_NAT, CC_UNITVAL, CCProd, CCTerm, ClosArrow, eval_cc, typecheck_cc,
 )
 from fcomp.cg_lang import (
     EMPTY_MEM, GAbs, GApp, GLet, GLoad, GMove, GNat, GPlus, GPred, GVar,
-    eval_cg,
+    CgTerm, eval_cg,
 )
 from fcomp.errors import TypeMismatch
 from fcomp.source_lang import (
-    NAT, App, Fix, Fst, Let, NatLit, Outcome, Plus, Pred, TArrow, TProd, Var,
-    eval_src, step_src, typecheck_src,
+    NAT, RULES, _LEAF_VALUES, App, Fix, Fst, Ifz, Let, NatLit, Outcome, Pair,
+    Plus, Pred, Snd, SrcTerm, TArrow, TProd, Var, eval_src, step_src,
+    typecheck_src,
 )
 from fcomp.unify import TVar
 
@@ -56,6 +59,15 @@ STUCK = [
     (GPlus(G_CODE, GPred(GNat(3))), _eval_cg, 0),
     (GPlus(G_CODE, GNat(3)), _eval_cg, 0),
     (GLet(GApp(G_CODE, GVar("y")), "x", GVar("x")), _eval_cg, 0),
+    # A value with a head its rule does not take, at each guarded child.
+    (Pred(FN), eval_src, 0),
+    (Ifz(FN, NatLit(1), NatLit(2)), eval_src, 0),
+    (Snd(NatLit(1)), eval_src, 0),
+    (COpen(CODE, "f", "e", CVar("f")), eval_cc, 0),
+    # A stuck child is not passed: the children after it are not reduced.
+    (Pair(Fst(NatLit(1)), Pred(NatLit(2))), eval_src, 0),
+    (CClos(CFst(CNat(1)), CPred(CNat(2))), eval_cc, 0),
+    (CClos(CODE, CFst(CNat(1))), eval_cc, 0),
 ]
 
 
@@ -66,6 +78,22 @@ def test_stuck_outcome_and_step_count(t, evaluate, steps):
     assert out.steps == steps
     if steps == 0:
         assert out.value == t
+
+
+@pytest.mark.parametrize("base", [SrcTerm, CCTerm, CgTerm])
+def test_the_rule_table_covers_every_head(base):
+    # The engine reads the i-th evaluated child as field i of the node.  A
+    # constructor added without a rule would be silently stuck.
+    for h, (kids, _) in RULES.items():
+        cls = base._heads.get(h)
+        if cls is not None:
+            fields = [f.name for f in dataclasses.fields(cls)]
+            children = [f for f, _ in cls._children]
+            for i, (f, _) in enumerate(kids):
+                assert f in children and fields[i] == f, (cls, f)
+    own = {"var"} | ({"alloc", "move", "load"} if base is CgTerm else set())
+    for h in {*base._heads, *base._atoms}:
+        assert h in RULES or h in _LEAF_VALUES or h in own, (base, h)
 
 
 @pytest.mark.parametrize("t, typecheck, message", [

@@ -14,8 +14,9 @@ cc terms, as the cc term it unhoists to (``term.program_body``).
 The rules for the constructors shared with the source language are those of
 ``source_lang``: typing extends its ``Inference`` with the cc types and the
 rules of code, closures and open, and evaluation is its let-stack loop
-``eval_lets`` over ``step_src`` and ``is_value``, read off its rule table
-``RULES``, which has the rules of closures and open (code is a value).
+``eval_lets`` over the machine step ``step_term`` of ``step_src``, read
+off its rule table ``RULES``, which has the rules of closures and open
+(code is a value).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import source_lang as src
 from .errors import (
     MissingMapping, NonEmptyClosureContext, RigidEscape, TypeMismatch,
 )
-from .source_lang import Inference, eval_lets, step_src
+from .source_lang import Inference, eval_lets, step_term
 from .term import EvalOutcome, Program, Term, derive, free_vars, node, program_body
 from .unify import UnifyError, nodes
 
@@ -229,7 +230,7 @@ class _Inference(Inference):
 def eval_cc(t: CCTerm, fuel: int) -> EvalOutcome:
     """Iterate step_src, whose rule table has the entries of closures and
     open, to a value, stuck term, or fuel exhaustion."""
-    return eval_lets(step_src, t, fuel)
+    return eval_lets(step_term, None, t, fuel)[0]
 
 
 # ---------------------------------------------------------------------------

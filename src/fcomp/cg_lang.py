@@ -7,12 +7,14 @@ descriptions (``term.derive``), ``GAbs`` derived from the closure-converted
 (``GAlloc``), and the heap write and read ``GMove`` and ``GLoad``.
 Statements are chains of lets over expressions; pairs and closures live in
 the heap via alloc/move/load.  The machine state is an immutable tuple of
-heap cells, whose length is the next free index; stepping threads the
-state.  Stepping is the shared relation ``source_lang.step_src``, read off
-the rule table ``source_lang.RULES``, after three rules of its own: a let
-steps its bound through the heap, an operand that is neither a variable
-nor a value is stuck, and alloc, move and load use the heap.  A program
-is a ``term.Program`` of cg terms, scoped like the hoisted one.
+heap cells, whose length is the next free index.  The machine step
+``step_cg`` maps a state (heap, term) to the next: the shared relation
+``source_lang.step_src``, read off the rule table ``source_lang.RULES``,
+after three rules of its own: a let steps its bound through the heap, an
+operand that is neither a variable nor a value is stuck, and alloc, move
+and load use the heap.  ``eval_cg_program`` hands it to the let-stack loop
+``source_lang.eval_lets`` from the empty heap.  A program is a
+``term.Program`` of cg terms, scoped like the hoisted one.
 """
 
 from __future__ import annotations
@@ -124,12 +126,14 @@ def heap_lookup(s: MemState, base: GLoc, off: int) -> CgTerm:
 # Stepping
 
 
-def step_cg(s: MemState, t: CgTerm):
-    """One machine step, or None on values and stuck terms: the three rules
-    of the module docstring, then ``step_src``."""
+def step_cg(state):
+    """One machine step from state, a pair (MemState, CgTerm), or None on
+    values and stuck terms: the three rules of the module docstring, then
+    ``step_src``."""
+    s, t = state
     h = t._head
     if h == "let" and not src.is_value(t.bound):
-        r = step_cg(s, t.bound)
+        r = step_cg((s, t.bound))
         return None if r is None else (r[0], GLet(r[1], t.binder, t.body))
     if not _flat(t, _STEP_OPERANDS):
         return None
@@ -147,26 +151,10 @@ def step_cg(s: MemState, t: CgTerm):
     return None if t is None else (s, t)
 
 
-def eval_cg(s: MemState, t: CgTerm, fuel: int):
-    """Iterate step_cg to a value, stuck term, or fuel exhaustion; returns
-    the outcome and the final memory state."""
-    mem = s
-
-    def step(u):
-        nonlocal mem
-        r = step_cg(mem, u)
-        if r is None:
-            return None
-        mem, u = r
-        return u
-
-    outcome = src.eval_lets(step, t, fuel)
-    return outcome, mem
-
-
 def eval_cg_program(p: Program, fuel: int):
-    """Substitute the top-level functions into the body, run from empty heap."""
-    return eval_cg(EMPTY_MEM, program_body(p), fuel)
+    """Iterate step_cg from the empty heap and the body with the top-level
+    functions substituted in; returns the outcome and the final heap."""
+    return src.eval_lets(step_cg, EMPTY_MEM, program_body(p), fuel)
 
 
 def check_operand_form(t: CgTerm) -> bool:

@@ -1,4 +1,6 @@
-"""The composed compile driver and the table of what each stage provides."""
+"""The composed compile driver and the table of what each stage provides,
+including the machine step on states (heap, term) that the stage's
+evaluator iterates by one call of ``source_lang.eval_lets``."""
 
 from __future__ import annotations
 
@@ -62,33 +64,37 @@ def compile_stages(t: source_lang.SrcTerm, stop_after: Stage = Stage.CG):
     for stage, compile_pass in passes:
         if stop_after in out:
             break
+        too_deep = False
         try:
             payload = compile_pass(payload)
         except FcompError as e:
             raise StageError(stage, e) from e
+        except RecursionError:
+            too_deep = True
+        # Raised here rather than in the handler, so that the new error keeps
+        # neither the overflow's frames nor the overflow as its context.
+        if too_deep:
+            raise RecursionError(
+                f"[{stage.value}] input nests too deeply for the recursion limit")
         out[stage] = StageArtifact(stage, payload)
     return out
-
-
-def _step_term(state):
-    t = source_lang.step_src(state[1])
-    return None if t is None else (None, t)
 
 
 @dataclass(frozen=True)
 class StageOps:
     """One stage's evaluator, s-expression printer and reader, term printer
     and small-step machine, whose state is a pair (heap, term): the heap is a
-    ``cg_lang.MemState`` at cg and None elsewhere.  The evaluators look their
+    ``cg_lang.MemState`` at cg and None elsewhere.  Its step is the one the
+    evaluator's let-stack loop iterates.  The evaluators look their
     functions up when called, so that one rebound in its module (a tracing
     wrapper) is the one that runs."""
 
-    evaluate: Callable  # (payload, fuel) -> (EvalOutcome, heap cells or None)
+    evaluate: Callable  # (payload, fuel) -> (EvalOutcome, final heap)
     to_sexpr: Callable  # payload -> s-expression
     from_sexpr: Callable  # s-expression -> payload
     step_label: str  # names a failed check of the machine
     start: Callable = lambda p: (None, p)  # payload -> machine state
-    step: Callable = _step_term  # machine state -> machine state, or None
+    step: Callable = source_lang.step_term  # machine state -> next, or None
     concrete: bool = False  # terms print in the surface syntax
 
     def show(self, t) -> str:
@@ -99,11 +105,6 @@ class StageOps:
         heap, t = state
         prefix = "" if heap is None else f"[next_free={heap.next_free}] "
         return prefix + self.show(t)
-
-
-def _eval_cg(p, fuel):
-    outcome, mem = cg_lang.eval_cg_program(p, fuel)
-    return outcome, mem.next_free
 
 
 # Source and cps terms share one language.
@@ -125,17 +126,19 @@ STAGES = {
         start=lambda p: (None, program_body(p)),
     ),
     Stage.CG: StageOps(
-        _eval_cg, sexpr.program_to_sexpr,
+        lambda p, fuel: cg_lang.eval_cg_program(p, fuel),
+        sexpr.program_to_sexpr,
         partial(sexpr.program_from_sexpr, cg_lang.CgTerm), "cg-step",
-        start=lambda p: (cg_lang.MemState(), program_body(p)),
-        step=lambda state: cg_lang.step_cg(*state),
+        start=lambda p: (cg_lang.EMPTY_MEM, program_body(p)),
+        step=cg_lang.step_cg,
     ),
 }
 
 
 def run(artifact: StageArtifact, fuel: int):
     """Evaluate a stage artifact; returns (EvalOutcome, heap cell count or None)."""
-    return STAGES[artifact.stage].evaluate(artifact.payload, fuel)
+    outcome, heap = STAGES[artifact.stage].evaluate(artifact.payload, fuel)
+    return outcome, None if heap is None else heap.next_free
 
 
 def result_nat(outcome: EvalOutcome):

@@ -12,8 +12,9 @@ share live here once: ``Inference`` holds the shared typing rules, which
 ``cc_lang`` extends with its own types and constructors, and the table
 ``RULES`` is the reduction relation of both, and of ``cg_lang`` after its
 own rules.  The step relation ``step_src`` and the value test ``is_value``
-are read off it.  Beside them is ``eval_lets``, the let-stack loop behind
-every interpreter, which takes the step relation of its term's IR.
+are read off it.  Every evaluator is one call of ``eval_lets``, the
+let-stack loop that iterates a stage's machine step on states (heap, term):
+``step_term``, which is ``step_src`` passing the heap through, or cg's.
 """
 
 from __future__ import annotations
@@ -371,14 +372,20 @@ def step_src(t):
     return None if contract is None else contract(t)
 
 
-def eval_lets(step, t, fuel):
-    """Iterate ``step``, the step relation of t's IR, to a value, stuck
-    term, or fuel exhaustion.
+def step_term(state):
+    """``step_src`` as a machine step: the heap passes through."""
+    return None if (t := step_src(state[1])) is None else (state[0], t)
+
+
+def eval_lets(step, heap, t, fuel):
+    """Iterate ``step``, the machine step of t's IR, from (heap, t) to a
+    value, stuck term, or fuel exhaustion; returns the outcome and the final
+    heap.  The heap is a ``cg_lang.MemState`` at cg and None elsewhere.
 
     Keeps the enclosing ``let`` frames on an explicit stack so that each step
     costs time near the redex rather than a walk from the root; popping a
     frame onto a value is one step, so the step counts agree exactly with
-    iterating the step relation.
+    iterating the machine step.
     """
     let = t._heads["let"]
     steps = 0
@@ -388,30 +395,27 @@ def eval_lets(step, t, fuel):
         while isinstance(u, let):
             stack.append((u.binder, u.body))
             u = u.bound
-        if is_value(u):
-            if not stack:
-                return EvalOutcome(Outcome.VALUE, u, steps)
-            if steps >= fuel:
-                return EvalOutcome(Outcome.OUT_OF_FUEL, _plug(let, stack, u), steps)
+        value = is_value(u)
+        if value and not stack:
+            return EvalOutcome(Outcome.VALUE, u, steps), heap
+        if steps >= fuel:
+            kind = Outcome.OUT_OF_FUEL
+            break
+        if value:
             binder, body = stack.pop()
             u = subst({binder: u}, body)
-            steps += 1
-            continue
-        if steps >= fuel:
-            return EvalOutcome(Outcome.OUT_OF_FUEL, _plug(let, stack, u), steps)
-        nxt = step(u)
-        if nxt is None:
-            return EvalOutcome(Outcome.STUCK, _plug(let, stack, u), steps)
-        u = nxt
+        else:
+            nxt = step((heap, u))
+            if nxt is None:
+                kind = Outcome.STUCK
+                break
+            heap, u = nxt
         steps += 1
-
-
-def _plug(let, stack, u):
     for binder, body in reversed(stack):
         u = let(u, binder, body)
-    return u
+    return EvalOutcome(kind, u, steps), heap
 
 
 def eval_src(t: SrcTerm, fuel: int) -> EvalOutcome:
     """Iterate step_src to a value, stuck term, or fuel exhaustion."""
-    return eval_lets(step_src, t, fuel)
+    return eval_lets(step_term, None, t, fuel)[0]

@@ -166,7 +166,7 @@ def test_criterion_7_memory_model():
     # pred 0 = 0 in the target machine.
     from fcomp.cg_lang import GPred
 
-    assert step_cg(EMPTY_MEM, GPred(GNat(0))) == (EMPTY_MEM, GNat(0))
+    assert step_cg((EMPTY_MEM, GPred(GNat(0)))) == (EMPTY_MEM, GNat(0))
 
     # Update/lookup roundtrip.
     s2 = heap_update(s, loc, 1, GNat(7))

@@ -9,13 +9,13 @@ from fcomp.cc_pass import cc_program
 from fcomp.cg_lang import (
     EMPTY_MEM, G_UNITVAL, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GLoc, GMove,
     GNat, GPlus, GPred, GVar, allocate, check_operand_form,
-    check_program_operand_form, eval_cg, eval_cg_program, heap_lookup,
-    heap_update, step_cg,
+    check_program_operand_form, eval_cg_program, heap_lookup, heap_update,
+    step_cg,
 )
 from fcomp.cg_pass import cgen_program
 from fcomp.errors import OutOfBounds
 from fcomp.hoist_pass import hoist
-from fcomp.source_lang import Outcome
+from fcomp.source_lang import Outcome, eval_lets
 from fcomp.surface import parse_source
 
 
@@ -70,48 +70,48 @@ class TestMemoryModel:
 
 class TestStepping:
     def test_pred_zero_is_zero(self):
-        assert step_cg(EMPTY_MEM, GPred(GNat(0))) == (EMPTY_MEM, GNat(0))
+        assert step_cg((EMPTY_MEM, GPred(GNat(0)))) == (EMPTY_MEM, GNat(0))
 
     def test_plus(self):
-        assert step_cg(EMPTY_MEM, GPlus(GNat(2), GNat(3))) == (EMPTY_MEM, GNat(5))
+        assert step_cg((EMPTY_MEM, GPlus(GNat(2), GNat(3)))) == (EMPTY_MEM, GNat(5))
 
     def test_alloc_moves_next_free(self):
-        s, t = step_cg(EMPTY_MEM, GAlloc(2))
+        s, t = step_cg((EMPTY_MEM, GAlloc(2)))
         assert t == GLoc(0)
         assert s.next_free == 2
 
     def test_move_writes_and_returns_unit(self):
         s, loc = allocate(EMPTY_MEM, 2)
-        s2, t = step_cg(s, GMove(GLoc(0), 1, GNat(9)))
+        s2, t = step_cg((s, GMove(GLoc(0), 1, GNat(9))))
         assert t == G_UNITVAL
         assert heap_lookup(s2, GLoc(0), 1) == GNat(9)
 
     def test_load_reads_cell(self):
         s, loc = allocate(EMPTY_MEM, 2)
         s = heap_update(s, loc, 0, GNat(4))
-        assert step_cg(s, GLoad(GLoc(0), 0)) == (s, GNat(4))
+        assert step_cg((s, GLoad(GLoc(0), 0))) == (s, GNat(4))
 
     def test_let_sequences(self):
         t = GLet(GAlloc(1), "p", GLet(GMove(GVar("p"), 0, GNat(1)), "u",
                                       GLoad(GVar("p"), 0)))
-        out, mem = eval_cg(EMPTY_MEM, t, 100)
+        out, mem = eval_lets(step_cg, EMPTY_MEM, t, 100)
         assert out.kind is Outcome.VALUE
         assert out.value == GNat(1)
         assert mem.next_free == 1
 
     def test_ifz(self):
         t = GIfz(GNat(0), GNat(1), GNat(2))
-        assert step_cg(EMPTY_MEM, t) == (EMPTY_MEM, GNat(1))
+        assert step_cg((EMPTY_MEM, t)) == (EMPTY_MEM, GNat(1))
 
     def test_operands_must_be_evaluated(self):
         # The target has no congruence rules inside operations: a compound
         # operand is a stuck term, not something to evaluate in place.
         t = GPlus(GPred(GNat(2)), GNat(1))
-        assert step_cg(EMPTY_MEM, t) is None
+        assert step_cg((EMPTY_MEM, t)) is None
 
     def test_application(self):
         t = GApp(GAbs("x", GPlus(GVar("x"), GNat(1))), GNat(2))
-        out, _ = eval_cg(EMPTY_MEM, t, 100)
+        out, _ = eval_lets(step_cg, EMPTY_MEM, t, 100)
         assert out.value == GNat(3)
 
 

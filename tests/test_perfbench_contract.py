@@ -4,11 +4,10 @@ The traced run wraps fcomp functions by module and name, and counts what
 the passes and the cg evaluator return; the mutant workload injects each
 bug by rebinding a name in ``cg_pass``.  A rename in the package would
 otherwise show only when the benchmark runs.  perfbench is loaded from its
-file and not changed.
+files (``conftest.py``) and not changed.
 """
 
 import importlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -19,38 +18,11 @@ import pytest
 import fcomp
 from fcomp import cg_lang, harness
 from fcomp.errors import FcompError
-from fcomp.pipeline import Stage, compile_stages, result_nat, run
+from fcomp.pipeline import STAGE_ORDER, Stage, compile_stages, result_nat, run
 from fcomp.surface import parse_source
 from fcomp.term import Outcome, subterms
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CLOSURES = "((let x = 3 in fun (y:nat). fun (z:nat). x+y+z) 4) 5"
-
-
-def _load(name, path, **imports):
-    """The module at path, loaded under name with the modules imports names
-    importable while it runs."""
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up while they are made.
-    added = {name: module, **imports}
-    sys.modules.update(added)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        for key in added:
-            del sys.modules[key]
-    return module
-
-
-@pytest.fixture(scope="module")
-def common():
-    return _load("perfbench_common", PERFBENCH / "common.py")
-
-
-@pytest.fixture(scope="module")
-def mutant(common):
-    return _load("perfbench_mutant", PERFBENCH / "mutant.py", common=common)
 
 
 def test_every_wrapped_function_resolves(common):
@@ -127,6 +99,34 @@ def test_traced_check_counts_every_layer(common):
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert not hasattr(owner, "__wrapped__"), (mod_name, attr)
+
+
+def test_every_evaluator_runs_under_the_name_perfbench_wraps(common):
+    """pipeline.run reaches each stage's evaluator through the name the
+    traced run wraps, and each span counts the steps of its outcome."""
+    stages = compile_stages(parse_source(CLOSURES))
+    tracer = common.Tracer()
+    with tracer.installed():
+        outcomes = [fcomp.pipeline.run(stages[stage], 100_000)
+                    for stage in STAGE_ORDER]
+    rows = tracer.export()
+    spans = [
+        (row["name"], row["stage"], rows[row["parent"]]["name"], row["steps"],
+         row.get("heap_cells"))
+        for row in rows if row["name"] in common.EVALS
+    ]
+    steps = [out.steps for out, _ in outcomes]
+    assert steps == [5, 22, 63, 63, 168]
+    assert spans == [
+        ("source_lang.eval_src", "source", "pipeline.run", steps[0], None),
+        ("source_lang.eval_src", "cps", "pipeline.run", steps[1], None),
+        ("cc_lang.eval_cc", "cc", "pipeline.run", steps[2], None),
+        ("cc_lang.eval_hoisted", "hoist", "pipeline.run", steps[3], None),
+        ("cc_lang.eval_cc", "hoist", "cc_lang.eval_hoisted", steps[3], None),
+        ("cg_lang.eval_cg_program", "cg", "pipeline.run", steps[4],
+         outcomes[4][1]),
+    ]
+    assert outcomes[4][1] == 30
 
 
 # A program whose cg result each mutant changes.

@@ -111,6 +111,19 @@ class TestPipeline:
             compile_stages(parse_source("1 + ()"))
         assert ei.value.stage is Stage.CPS
 
+    def test_too_deep_input_raises_without_the_overflow_frames(self):
+        """A pass that overflows the recursion limit raises a RecursionError
+        naming its stage that keeps neither the overflow's frames nor the
+        overflow itself."""
+        import traceback
+
+        with pytest.raises(RecursionError) as ei:
+            compile_stages(parse_source(" + ".join(["1"] * 5000)))
+        e = ei.value
+        assert str(e) == "[cps] input nests too deeply for the recursion limit"
+        assert len(traceback.extract_tb(e.__traceback__)) < 10
+        assert e.__context__ is None and e.__cause__ is None
+
 
 class TestCli:
     def _write(self, tmp_path, text):

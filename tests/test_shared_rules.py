@@ -15,13 +15,13 @@ from fcomp.cc_lang import (
 )
 from fcomp.cg_lang import (
     EMPTY_MEM, GAbs, GApp, GLet, GLoad, GMove, GNat, GPlus, GPred, GVar,
-    CgTerm, eval_cg,
+    CgTerm, step_cg,
 )
 from fcomp.errors import TypeMismatch
 from fcomp.source_lang import (
     NAT, RULES, _LEAF_VALUES, App, Fix, Fst, Ifz, Let, NatLit, Outcome, Pair,
-    Plus, Pred, Snd, SrcTerm, TArrow, TProd, Var, eval_src, step_src,
-    typecheck_src,
+    Plus, Pred, Snd, SrcTerm, TArrow, TProd, Var, eval_lets, eval_src,
+    step_src, typecheck_src,
 )
 from fcomp.unify import TVar
 
@@ -31,7 +31,7 @@ G_CODE = GAbs("p", GVar("p"))
 
 
 def _eval_cg(t, fuel):
-    return eval_cg(EMPTY_MEM, t, fuel)[0]
+    return eval_lets(step_cg, EMPTY_MEM, t, fuel)[0]
 
 
 # (term, evaluator, step count before it is stuck).  Neither the argument of

@@ -14,13 +14,11 @@ restored afterwards, so memory stays linear in the depth of the term.
 
 from __future__ import annotations
 
-from .cc_lang import (
-    CAbs, CClos, CFst, CLet, CSnd, CVar, CCTerm, closure_call, map_env, map_var,
-)
+from .cc_lang import CAbs, CClos, closure_call, map_env, map_var
 from .errors import MissingMapping, UntrackedVariable
 from .fresh import FreshSupply
-from .source_lang import App, Fix, Let, SrcTerm, Var
-from .term import all_names, counterpart, free_vars, lets
+from .source_lang import Fst, Let, Snd, SrcTerm, Var
+from .term import all_names, free_vars, lets
 
 
 def fvars(t: SrcTerm, candidates):
@@ -56,7 +54,7 @@ def _last_occurrences(t, candidates, live, out):
         live.update(shadowed)
 
 
-def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
+def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> SrcTerm:
     """Closure-convert t; rho maps source variables to target terms.
 
     dom(rho) is the set of variables t may mention free, and the candidates
@@ -69,62 +67,66 @@ def cc_transform(rho, t: SrcTerm, fresh: FreshSupply) -> CCTerm:
 
 
 def _cc(rho, t, fresh):
-    if t._head in _SAME_SHAPE:
+    h = t._head
+    if h in _LEAVES:
+        return t
+    if h in _SAME_SHAPE:
         kids = []
         for f, _ in t._children:
             kids.append(_cc(rho, getattr(t, f), fresh))
-        return counterpart(t, CCTerm, kids)
-    if isinstance(t, Var):
+        return type(t)(*kids)
+    if h == "var":
         if t.name not in rho:
             raise MissingMapping(t.name)
         return rho[t.name]
-    if isinstance(t, Let):
+    if h == "let":
         bound = _cc(rho, t.bound, fresh)
         y = fresh.fresh("x")
         outer = rho.get(t.binder)
-        rho[t.binder] = CVar(y)
+        rho[t.binder] = Var(y)
         body = _cc(rho, t.body, fresh)
         if outer is None:
             del rho[t.binder]
         else:
             rho[t.binder] = outer
-        return CLet(bound, y, body)
-    if isinstance(t, Fix):
+        return Let(bound, y, body)
+    if h == "fix":
         fvs = fvars(t, rho)
         env = map_env(fvs, rho)
         p = fresh.fresh("p")
         g = fresh.fresh("g")
         y = fresh.fresh("x")
         e = fresh.fresh("e")
-        scope = map_var(fvs, CVar(e))
-        scope[t.selfbinder] = CVar(g)
-        scope[t.argbinder] = CVar(y)
+        scope = map_var(fvs, Var(e))
+        scope[t.selfbinder] = Var(g)
+        scope[t.argbinder] = Var(y)
         body = _cc(scope, t.body, fresh)
         code = CAbs(
             p,
             lets(
                 body,
-                (CFst(CVar(p)), g),
-                (CFst(CSnd(CVar(p))), y),
-                (CSnd(CSnd(CVar(p))), e),
+                (Fst(Var(p)), g),
+                (Fst(Snd(Var(p))), y),
+                (Snd(Snd(Var(p))), e),
             ),
         )
         return CClos(code, env)
-    if isinstance(t, App):
+    if h == "app":
         fn = _cc(rho, t.fn, fresh)
         arg = _cc(rho, t.arg, fresh)
         g = fresh.fresh("g")
         xf = fresh.fresh("f")
         xe = fresh.fresh("e")
-        return CLet(fn, g, closure_call(CVar(g), xf, xe, arg))
+        return Let(fn, g, closure_call(Var(g), xf, xe, arg))
     raise TypeError(t)
 
 
-# The heads whose cc node has the same shape: the children converted, the
-# numerals kept.
-_SAME_SHAPE = frozenset("nat unit pred fst snd plus pair ifz".split())
+# The heads that are their own cc node, and the heads whose cc node is of
+# the same class with the children converted.
+_LEAVES = frozenset({"nat", "unit"})
+_SAME_SHAPE = frozenset({"pred", "fst", "snd", "plus", "pair", "ifz"})
 
 
-def cc_program(t: SrcTerm) -> CCTerm:
+def cc_program(t: SrcTerm) -> SrcTerm:
     fresh = FreshSupply(avoid=all_names(t))
     return cc_transform({}, t, fresh)

@@ -1,10 +1,10 @@
 """The first-order target language with an explicit heap.
 
-Its terms are ``GNat``, ``GVar``, ``GUnit``, ``GPred``, ``GPlus``,
-``GIfz``, ``GApp`` and ``GLet``, derived from the source constructors'
-descriptions (``term.derive``), ``GAbs`` derived from the closure-converted
-``CAbs``, and four of its own: heap locations (``GLoc``), allocation
-(``GAlloc``), and the heap write and read ``GMove`` and ``GLoad``.
+Its terms are the source constructors ``nat``, ``var``, ``unit``,
+``pred``, ``plus``, ``ifz``, ``app`` and ``let``, the closure-converted
+``cabs``, and four of its own: heap locations (``GLoc``), allocation
+(``GAlloc``), and the heap write and read ``GMove`` and ``GLoad``; ``CG``
+is that set of heads, over the one term family of ``source_lang``.
 Statements are chains of lets over expressions; pairs and closures live in
 the heap via alloc/move/load.  The machine state is an immutable tuple of
 heap cells, whose length is the next free index.  The machine step
@@ -21,52 +21,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cc_lang, source_lang as src
+from . import cc_lang  # noqa: F401 - defines CAbs, the class of cg's cabs
+from . import source_lang as src
 from .errors import OutOfBounds
-from .term import Program, Term, derive, node, program_body, subterms
-
-
-class CgTerm(Term):
-    __slots__ = ()
-
-
-# The constructors shared with the source and the closure-converted
-# language, described there.
-GNat = derive(src.NatLit, CgTerm, "GNat")
-GVar = derive(src.Var, CgTerm, "GVar")
-GUnit = derive(src.UnitLit, CgTerm, "GUnit")
-GPred = derive(src.Pred, CgTerm, "GPred")
-GPlus = derive(src.Plus, CgTerm, "GPlus")
-GIfz = derive(src.Ifz, CgTerm, "GIfz")
-GApp = derive(src.App, CgTerm, "GApp")
-GLet = derive(src.Let, CgTerm, "GLet")
-GAbs = derive(cc_lang.CAbs, CgTerm, "GAbs")
+from .source_lang import UNITVAL, Let, SrcTerm
+from .term import Grammar, Program, node, program_body, subterms
 
 
 @node("(loc #index)")
-class GLoc(CgTerm):
+class GLoc(SrcTerm):
     index: int
 
 
 @node("(alloc #n)")
-class GAlloc(CgTerm):
+class GAlloc(SrcTerm):
     n: int
 
 
 @node("(move base #offset value)")
-class GMove(CgTerm):
-    base: CgTerm
+class GMove(SrcTerm):
+    base: SrcTerm
     offset: int
-    value: CgTerm
+    value: SrcTerm
 
 
 @node("(load base #offset)")
-class GLoad(CgTerm):
-    base: CgTerm
+class GLoad(SrcTerm):
+    base: SrcTerm
     offset: int
 
 
-G_UNITVAL = GUnit()
+CG = Grammar(SrcTerm, frozenset({
+    "nat", "var", "unit", "pred", "plus", "ifz", "app", "let", "cabs",
+    "loc", "alloc", "move", "load",
+}))
 
 
 # The heads of operands in flat code and in a step (variables and values),
@@ -103,7 +91,7 @@ EMPTY_MEM = MemState()
 
 def allocate(s: MemState, n: int):
     """n fresh cells initialized to unit; returns the base location."""
-    return MemState(s.heap + (G_UNITVAL,) * n), GLoc(s.next_free)
+    return MemState(s.heap + (UNITVAL,) * n), GLoc(s.next_free)
 
 
 def _cell(s: MemState, base: GLoc, off: int, what: str) -> int:
@@ -113,12 +101,12 @@ def _cell(s: MemState, base: GLoc, off: int, what: str) -> int:
     return i
 
 
-def heap_update(s: MemState, base: GLoc, off: int, v: CgTerm) -> MemState:
+def heap_update(s: MemState, base: GLoc, off: int, v: SrcTerm) -> MemState:
     i = _cell(s, base, off, "update")
     return MemState(s.heap[:i] + (v,) + s.heap[i + 1 :])
 
 
-def heap_lookup(s: MemState, base: GLoc, off: int) -> CgTerm:
+def heap_lookup(s: MemState, base: GLoc, off: int) -> SrcTerm:
     return s.heap[_cell(s, base, off, "lookup")]
 
 
@@ -127,21 +115,21 @@ def heap_lookup(s: MemState, base: GLoc, off: int) -> CgTerm:
 
 
 def step_cg(state):
-    """One machine step from state, a pair (MemState, CgTerm), or None on
+    """One machine step from state, a pair (MemState, SrcTerm), or None on
     values and stuck terms: the three rules of the module docstring, then
     ``step_src``."""
     s, t = state
     h = t._head
     if h == "let" and not src.is_value(t.bound):
         r = step_cg((s, t.bound))
-        return None if r is None else (r[0], GLet(r[1], t.binder, t.body))
+        return None if r is None else (r[0], Let(r[1], t.binder, t.body))
     if not _flat(t, _STEP_OPERANDS):
         return None
     if h == "alloc":
         return allocate(s, t.n)
     if h == "move":
         if t.base._head == "loc" and src.is_value(t.value):
-            return heap_update(s, t.base, t.offset, t.value), G_UNITVAL
+            return heap_update(s, t.base, t.offset, t.value), UNITVAL
         return None
     if h == "load":
         if t.base._head == "loc":
@@ -157,7 +145,7 @@ def eval_cg_program(p: Program, fuel: int):
     return src.eval_lets(step_cg, EMPTY_MEM, program_body(p), fuel)
 
 
-def check_operand_form(t: CgTerm) -> bool:
+def check_operand_form(t: SrcTerm) -> bool:
     """Operands of pred/plus/app/move/load/ifz are constants or variables;
     only the branches of ifz and the parts of let and abs hold statements."""
     return all(_flat(u, _OPERANDS) for u in subterms(t))

@@ -12,17 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .cc_lang import (
-    CAbs, CApp, CClos, CFst, CIfz, CLet, CNat, COpen, CPair, CPlus, CPred,
-    CSnd, CUnit, CVar, CCTerm, closure_call_arg,
-)
-from .cg_lang import (
-    CgTerm, GAbs, GAlloc, GApp, GIfz, GLet, GLoad, GMove, GPlus, GPred, GVar,
-)
-from .cg_lang import GNat  # noqa: F401 - perfbench's pred_plus mutant reads it
+from .cc_lang import CAbs, closure_call_arg
+from .cg_lang import GAlloc, GLoad, GMove
 from .errors import UnsupportedShape
 from .fresh import FreshSupply
-from .term import Program, all_names, counterpart, lets, subst
+from .source_lang import App, Ifz, Let, NatLit, Plus, Pred, SrcTerm, Var
+from .term import Program, all_names, lets, subst
+
+# The constructors of cg's nat, pred and plus, looked up at each call under
+# these names, which the benchmark's mutants rebind.
+GNat, GPred, GPlus = NatLit, Pred, Plus
 
 
 @dataclass(slots=True)
@@ -32,101 +31,98 @@ class CgKont:
     Slotted, without a ``__dict__``: generation holds one continuation per
     level of the term on the stack, thousands on a long chain."""
 
-    fn: Callable[[CCTerm], CgTerm]
+    fn: Callable[[SrcTerm], SrcTerm]
 
-    def __call__(self, slot: CCTerm) -> CgTerm:
+    def __call__(self, slot: SrcTerm) -> SrcTerm:
         return self.fn(slot)
 
 
 def identity_cgkont() -> CgKont:
-    return CgKont(lambda v: _const(v))
+    return CgKont(lambda v: v)
 
 
-def _const(atom: CCTerm) -> CgTerm:
-    """Embed a value-slot atom (a numeral, unit or a variable) of the
-    source IR into the target."""
-    return counterpart(atom, CgTerm, ())
-
-
-def cgen_stmt(t: CCTerm, k: CgKont, fresh: FreshSupply) -> CgTerm:
-    if isinstance(t, (CNat, CUnit, CVar)):
+def cgen_stmt(t: SrcTerm, k: CgKont, fresh: FreshSupply) -> SrcTerm:
+    """The cg statement of the cc term t, whose value slot, an atom (a
+    numeral, unit or a variable, the same node in both IRs), goes to k."""
+    h = t._head
+    if h in ("nat", "unit", "var"):
         return k(t)
-    if isinstance(t, CPred):
+    if h == "pred":
 
         def kp(x):
             v = fresh.fresh("v")
-            return GLet(GPred(_const(x)), v, k(CVar(v)))
+            return Let(GPred(x), v, k(Var(v)))
 
         return cgen_stmt(t.arg, CgKont(kp), fresh)
-    if isinstance(t, CFst):
+    if h == "fst":
         return _load(t.arg, 0, k, fresh)
-    if isinstance(t, CSnd):
+    if h == "snd":
         return _load(t.arg, 1, k, fresh)
-    if isinstance(t, (CPlus, CApp)):
-        l, r = (t.l, t.r) if isinstance(t, CPlus) else (t.fn, t.arg)
+    if h == "plus" or h == "app":
+        l, r = (t.l, t.r) if h == "plus" else (t.fn, t.arg)
 
         def k1(x1):
             def k2(x2):
                 v = fresh.fresh("v")
                 # Chosen here: a cell in cgen_stmt would cost every level.
-                op = GPlus if isinstance(t, CPlus) else GApp
-                return GLet(op(_const(x1), _const(x2)), v, k(CVar(v)))
+                op = GPlus if h == "plus" else App
+                return Let(op(x1, x2), v, k(Var(v)))
 
             return cgen_stmt(r, CgKont(k2), fresh)
 
         return cgen_stmt(l, CgKont(k1), fresh)
-    if isinstance(t, (CPair, CClos)):
-        l, r = (t.l, t.r) if isinstance(t, CPair) else (t.code, t.env)
+    if h == "pair" or h == "clos":
+        l, r = (t.l, t.r) if h == "pair" else (t.code, t.env)
 
         def k1(x1):
             def k2(x2):
                 p, cells = _alloc_pair(x1, x2, fresh)
-                return lets(k(CVar(p)), *cells)
+                return lets(k(Var(p)), *cells)
 
             return cgen_stmt(r, CgKont(k2), fresh)
 
         return cgen_stmt(l, CgKont(k1), fresh)
-    if isinstance(t, CIfz):
+    if h == "ifz":
         s2 = cgen_stmt(t.zbranch, identity_cgkont(), fresh)
         s3 = cgen_stmt(t.nzbranch, identity_cgkont(), fresh)
 
         def kc(x1):
             a = fresh.fresh("v")
-            return GLet(GIfz(_const(x1), s2, s3), a, k(CVar(a)))
+            return Let(Ifz(x1, s2, s3), a, k(Var(a)))
 
         return cgen_stmt(t.cond, CgKont(kc), fresh)
-    if isinstance(t, CLet):
+    if h == "let":
 
         def kl(v1):
             return cgen_stmt(subst({t.binder: v1}, t.body), k, fresh)
 
         return cgen_stmt(t.bound, CgKont(kl), fresh)
-    if isinstance(t, COpen):
+    if h == "open":
         m2 = closure_call_arg(t)
         if m2 is None:
             raise UnsupportedShape("open not in closure-application form")
 
         def k_clos(x1):
             def k_arg(x2):
-                p1, arg_cells = _alloc_pair(x2, CVar(t.ebinder), fresh)
-                p2, clos_cells = _alloc_pair(x1, CVar(p1), fresh)
+                p1, arg_cells = _alloc_pair(x2, Var(t.ebinder), fresh)
+                p2, clos_cells = _alloc_pair(x1, Var(p1), fresh)
                 v = fresh.fresh("v")
                 return lets(
-                    k(CVar(v)),
+                    k(Var(v)),
                     *arg_cells,
                     *clos_cells,
-                    (GApp(GVar(t.fbinder), GVar(p2)), v),
+                    (App(Var(t.fbinder), Var(p2)), v),
                 )
 
             inner = cgen_stmt(m2, CgKont(k_arg), fresh)
             return lets(
                 inner,
-                (GLoad(_const(x1), 0), t.fbinder),
-                (GLoad(_const(x1), 1), t.ebinder),
+                (GLoad(x1, 0), t.fbinder),
+                (GLoad(x1, 1), t.ebinder),
             )
 
         return cgen_stmt(t.scrutinee, CgKont(k_clos), fresh)
-    if isinstance(t, CAbs):
+    if h == "cabs":
         raise UnsupportedShape("abstraction reached statement generation")
     raise TypeError(t)
 
@@ -137,25 +133,25 @@ def _alloc_pair(x1, x2, fresh):
     p = fresh.fresh("p")
     return p, (
         (GAlloc(2), p),
-        (GMove(GVar(p), 0, _const(x1)), fresh.fresh("v")),
-        (GMove(GVar(p), 1, _const(x2)), fresh.fresh("v")),
+        (GMove(Var(p), 0, x1), fresh.fresh("v")),
+        (GMove(Var(p), 1, x2), fresh.fresh("v")),
     )
 
 
 def _load(arg, offset, k, fresh):
     def kf(x):
         v = fresh.fresh("v")
-        return GLet(GLoad(_const(x), offset), v, k(CVar(v)))
+        return Let(GLoad(x, offset), v, k(Var(v)))
 
     return cgen_stmt(arg, CgKont(kf), fresh)
 
 
-def cgen_fn(f: CCTerm, fresh: FreshSupply) -> CgTerm:
+def cgen_fn(f: SrcTerm, fresh: FreshSupply) -> SrcTerm:
     """Compile a hoisted function Abs x. body; the body may name the
     binders of the functions listed before it."""
     if not isinstance(f, CAbs):
         raise UnsupportedShape("hoisted function must be an abstraction")
-    return GAbs(f.binder, cgen_stmt(f.body, identity_cgkont(), fresh))
+    return CAbs(f.binder, cgen_stmt(f.body, identity_cgkont(), fresh))
 
 
 def cgen_program(p: Program) -> Program:

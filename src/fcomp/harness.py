@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 from . import cc_lang, source_lang as src
-from .cc_lang import CC_NAT
 from .cg_lang import check_program_operand_form
 from .errors import ArrowTypeUnsupported, FcompError
 from .hoist_pass import check_abs_flat
@@ -238,7 +237,7 @@ def check_preservation(t, fuel, stages, fail, report):
     cps_t, cc_t = stages[Stage.CPS].payload, stages[Stage.CC].payload
     for label, typecheck, expected in (
         ("cps-type", lambda: typecheck_src([], cps_t, NAT), NAT),
-        ("cc-type", lambda: cc_lang.typecheck_cc([], cc_t, CC_NAT), CC_NAT),
+        ("cc-type", lambda: cc_lang.typecheck_cc([], cc_t, NAT), NAT),
     ):
         try:
             ty = typecheck()

@@ -14,15 +14,14 @@ grow with the cube of closure nesting.
 
 from __future__ import annotations
 
-from .cc_lang import (
-    CAbs, CLet, COpen, CVar, CCTerm, closure_call, closure_call_arg,
-)
+from .cc_lang import CAbs, COpen, closure_call, closure_call_arg
 from .errors import HoistEscape, UnsupportedShape
 from .fresh import FreshSupply
+from .source_lang import Let, SrcTerm, Var
 from .term import Program, all_names, children, free_vars, subterms
 
 
-def hoist(t: CCTerm) -> Program:
+def hoist(t: SrcTerm) -> Program:
     """Hoist every Abs out of t into a top-level function list."""
     fresh = FreshSupply(avoid=all_names(t))
     funcs = {}
@@ -45,14 +44,14 @@ def _hoist(t, bound, funcs, fresh):
         for _, c, _ in children(t):
             parts.append(_hoist(c, bound, funcs, fresh))
         return type(t)(*parts)
-    if isinstance(t, CLet):
+    if isinstance(t, Let):
         m1 = _hoist(t.bound, bound, funcs, fresh)
         added = t.binder not in bound
         bound.add(t.binder)
         m2 = _hoist(t.body, bound, funcs, fresh)
         if added:
             bound.remove(t.binder)
-        return CLet(m1, t.binder, m2)
+        return Let(m1, t.binder, m2)
     if isinstance(t, COpen):
         m2 = closure_call_arg(t)
         if m2 is None:
@@ -76,7 +75,7 @@ def _hoist(t, bound, funcs, fresh):
             )
         g = fresh.fresh("g")
         funcs[g] = fn
-        return CVar(g)
+        return Var(g)
     raise TypeError(t)
 
 

@@ -110,25 +110,25 @@ class StageOps:
 # Source and cps terms share one language.
 _SOURCE = StageOps(
     lambda p, fuel: (source_lang.eval_src(p, fuel), None),
-    to_sexpr, partial(from_sexpr, source_lang.SrcTerm), "src-step", concrete=True,
+    to_sexpr, partial(from_sexpr, source_lang.SOURCE), "src-step", concrete=True,
 )
 STAGES = {
     Stage.SOURCE: _SOURCE,
     Stage.CPS: _SOURCE,
     Stage.CC: StageOps(
         lambda p, fuel: (cc_lang.eval_cc(p, fuel), None),
-        to_sexpr, partial(from_sexpr, cc_lang.CCTerm), "cc-step",
+        to_sexpr, partial(from_sexpr, cc_lang.CC), "cc-step",
     ),
     Stage.HOIST: StageOps(
         lambda p, fuel: (cc_lang.eval_hoisted(p, fuel), None),
         sexpr.program_to_sexpr,
-        partial(sexpr.program_from_sexpr, cc_lang.CCTerm), "cc-step",
+        partial(sexpr.program_from_sexpr, cc_lang.CC), "cc-step",
         start=lambda p: (None, program_body(p)),
     ),
     Stage.CG: StageOps(
         lambda p, fuel: cg_lang.eval_cg_program(p, fuel),
         sexpr.program_to_sexpr,
-        partial(sexpr.program_from_sexpr, cg_lang.CgTerm), "cg-step",
+        partial(sexpr.program_from_sexpr, cg_lang.CG), "cg-step",
         start=lambda p: (cg_lang.EMPTY_MEM, program_body(p)),
         step=cg_lang.step_cg,
     ),

@@ -3,8 +3,9 @@ renderer, and the program form.
 
 Each term or type constructor's shape, e.g. ``(let e (x body))``, ``(fix (f
 x T1 T2) body)`` or ``(arrow T1 T2)``, is the template on its class;
-``term.to_sexpr(t)`` and ``term.from_sexpr(base, e)`` print and read the
-terms and types of every IR from those templates, annotations included.
+``term.to_sexpr(t)`` and ``term.from_sexpr(ir, e)`` print and read the
+terms and types of every IR from those templates, annotations included,
+and reading admits only the heads of the IR's grammar ``ir``.
 This module adds the reader and renderer of the text and the program form
 ``(letfun (f1 ... fn) (F1 ... Fn) body)`` of the hoisted and cg stages.
 """
@@ -84,9 +85,9 @@ def program_to_sexpr(p):
     ]
 
 
-def program_from_sexpr(base, e):
-    """Read a letfun program whose terms are of the IR with term class
-    ``base``; each binder must be one name."""
+def program_from_sexpr(ir, e):
+    """Read a letfun program whose terms are of the grammar ``ir``; each
+    binder must be one name."""
     if not (
         isinstance(e, list)
         and len(e) == 4
@@ -97,10 +98,10 @@ def program_from_sexpr(base, e):
         raise ParseError(f"bad program: {e!r}")
     if not all(isinstance(b, str) for b in e[1]):
         raise ParseError(f"letfun binders must be a list of names: {e[1]!r}")
-    functions = tuple(term.from_sexpr(base, f) for f in e[2])
+    functions = tuple(term.from_sexpr(ir, f) for f in e[2])
     if len(e[1]) != len(functions):
         raise ParseError("letfun binder/function arity mismatch")
-    return term.Program(tuple(e[1]), functions, term.from_sexpr(base, e[3]))
+    return term.Program(tuple(e[1]), functions, term.from_sexpr(ir, e[3]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,19 @@
 
 Syntax, simple types with unification-based inference and small-step
 call-by-value evaluation.  Binding structure (free variables, substitution,
-alpha-equivalence, s-expressions) comes from the term core in ``term``,
-which describes the types as well; ``SrcTerm._types`` names them as the
-class that fix's annotations read as.
+alpha-equivalence, s-expressions) comes from the term core in ``term``.
+
+Every IR's terms are nodes of the one class family ``SrcTerm``, and their
+types of ``SrcType``: a constructor two IRs share is one class, stated
+here, and ``cc_lang`` and ``cg_lang`` add the classes of their own heads to
+the same families.  Each IR is the set of heads it admits (a
+``term.Grammar``): source and cps terms are ``SOURCE``, and their types
+``TYPES``, which fix's annotations read by.
 
 The closure-converted language of ``cc_lang`` is this language with code
 abstraction, closures and open in place of ``fix``, so the rules the two
 share live here once: ``Inference`` holds the shared typing rules, which
-``cc_lang`` extends with its own types and constructors, and the table
+``cc_lang`` extends with its code arrow and constructors, and the table
 ``RULES`` is the reduction relation of both, and of ``cg_lang`` after its
 own rules.  The step relation ``step_src`` and the value test ``is_value``
 are read off it.  Every evaluator is one call of ``eval_lets``, the
@@ -22,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import TypeMismatch, UnboundVariable, UnresolvedTypeVariable
-from .term import EvalOutcome, Outcome, Term, node, subst
+from .term import EvalOutcome, Grammar, Outcome, Term, node, subst
 
 # The benchmark's mutant check reads free variables through this module.
 from .term import free_vars  # noqa: F401
@@ -77,6 +82,7 @@ class TProd(SrcType):
 
 NAT = TNat()
 UNIT = TUnit()
+TYPES = Grammar(SrcType, frozenset({"nat", "unit", "arrow", "prod"}))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +91,6 @@ UNIT = TUnit()
 
 class SrcTerm(Term):
     __slots__ = ()
-    _types = SrcType
 
 
 @node("(nat #n)")
@@ -163,6 +168,10 @@ class App(SrcTerm):
 
 
 UNITVAL = UnitLit()
+SOURCE = Grammar(SrcTerm, frozenset({
+    "nat", "var", "pred", "plus", "ifz", "unit", "pair", "fst", "snd", "let",
+    "fix", "app",
+}), TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +200,12 @@ def ctx_lookup(ctx, name):
 
 class Inference:
     """One typing run: a unifier, the typing rules shared with the
-    closure-converted language and the ``fix`` rule.  The class attributes
-    are the types the rules build; a subclass sets its own and types its
-    own constructors in ``infer_other``.  ``ans`` is the answer type, or
-    None when functions may return any type."""
+    closure-converted language and the ``fix`` rule.  ``arrow`` is the type
+    of what ``fix`` builds and ``app`` applies; a subclass sets its own and
+    types its own constructors in ``infer_other``.  ``ans`` is the answer
+    type, or None when functions may return any type."""
 
-    nat, unit, prod, arrow = NAT, UNIT, TProd, TArrow
+    arrow = TArrow
 
     def __init__(self, ans=None):
         self.u = Unifier()
@@ -232,20 +241,20 @@ class Inference:
         u = self.u
         h = t._head
         if h == "nat":
-            return self.nat
+            return NAT
         if h == "unit":
-            return self.unit
+            return UNIT
         if h == "var":
             return ctx_lookup(ctx, t.name)
         if h == "pred":
-            self.check(ctx, t.arg, self.nat)
-            return self.nat
+            self.check(ctx, t.arg, NAT)
+            return NAT
         if h == "plus":
-            self.check(ctx, t.l, self.nat)
-            self.check(ctx, t.r, self.nat)
-            return self.nat
+            self.check(ctx, t.l, NAT)
+            self.check(ctx, t.r, NAT)
+            return NAT
         if h == "ifz":
-            self.check(ctx, t.cond, self.nat)
+            self.check(ctx, t.cond, NAT)
             tz = self.infer(ctx, t.zbranch)
             tnz = self.infer(ctx, t.nzbranch)
             try:
@@ -254,10 +263,10 @@ class Inference:
                 raise TypeMismatch(t, u.zonk(tz), u.zonk(tnz))
             return tz
         if h == "pair":
-            return self.prod(self.infer(ctx, t.l), self.infer(ctx, t.r))
+            return TProd(self.infer(ctx, t.l), self.infer(ctx, t.r))
         if h == "fst" or h == "snd":
             a, b = u.fresh(), u.fresh()
-            self.check(ctx, t.arg, self.prod(a, b))
+            self.check(ctx, t.arg, TProd(a, b))
             return a if h == "fst" else b
         if h == "let":
             tb = self.infer(ctx, t.bound)

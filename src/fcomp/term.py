@@ -11,22 +11,21 @@ variable it names.  For example::
     @node("(let bound (binder body))", binds={"body": ("binder",)})
     @node("(arrow domain codomain)")
 
-From these descriptions this module derives, for the source/cps,
-closure-converted/hoisted and target IRs alike: free variables (cached on
-the node), all names, capture-avoiding simultaneous substitution, a
-canonical form for alpha-equivalence, s-expression printing and reading,
-the child walker that shrinking uses, the preorder walk over every subterm
-(``subterms``) that the shape checks use, the node of another IR with the
-same head (``counterpart``) that the passes build for the constructors the
-IRs share, the classes of those constructors from one description
-(``derive``), a builder of let sequences (``lets``) and the outcome of an
-evaluation (``EvalOutcome``).  The letfun program of the hoisted and cg
-stages (``Program``), its scope checks and its unhoisting
-(``program_body``) are here too.  Types have no binders;
-``unify`` walks and rebuilds them through the same description.  An
-annotation is a type node, so it prints by its own template, and it reads
-as a type of the class that its IR names once on its term class
-(``SrcTerm._types``).
+A head has one class, whichever IRs admit it: the terms of every IR are one
+family of classes and their types another.  An IR is a ``Grammar``, the
+set of heads it admits; reading an s-expression rejects any other head.
+
+From these descriptions this module derives, for every IR alike: free
+variables (cached on the node), all names, capture-avoiding simultaneous
+substitution, a canonical form for alpha-equivalence, s-expression printing
+and reading, the child walker that shrinking uses, the preorder walk over
+every subterm (``subterms``) that the shape checks use, a builder of let
+sequences (``lets``) and the outcome of an evaluation (``EvalOutcome``).
+The letfun program of the hoisted and cg stages (``Program``), its scope
+checks and its unhoisting (``program_body``) are here too.  Types have no
+binders; ``unify`` walks and rebuilds them through the same description.
+An annotation is a type node, so it prints by its own template, and it
+reads by the grammar of types that its IR's grammar names.
 
 A node's cached free variables may be the very set object of one of its
 children: ``free_vars`` makes a new set only where a node's free variables
@@ -66,9 +65,9 @@ CHILD, BINDER, NAME, NUM, ANNOT = "child", "binder", "name", "num", "annot"
 
 
 class Term:
-    """Base of each IR's term class and type class, which gets its own table
-    of heads for reading s-expressions.  ``repr``, assignment and deletion
-    behave as in a frozen dataclass."""
+    """Base of the family of term classes and of the family of type classes,
+    each of which gets its own table of heads for reading s-expressions.
+    ``repr``, assignment and deletion behave as in a frozen dataclass."""
 
     __slots__ = ("_fv",)  # free variables, cached on the node by free_vars
     _is_var = False
@@ -140,7 +139,6 @@ def node(template, binds=None, var=False):
         tmpl = resolve(_parse_template(template))
         kinds = {x[1]: x[0] for x in _leaves(tmpl) if isinstance(x, tuple)}
         assert set(kinds) == set(names), f"{cls.__name__}: {template!r}"
-        cls._description = (template, binds, var)
         cls._is_var = var
         cls._tmpl = tmpl
         cls._children = tuple(
@@ -157,12 +155,11 @@ def node(template, binds=None, var=False):
         for f, scope in binds.items():
             cls._scope = (index[f], tuple(index[b] for b in scope))
         cls._data = tuple(f for f in names if kinds[f] is NUM)
-        cls._copied = tuple(
-            (i, f) for i, f in enumerate(names) if kinds[f] is not CHILD
-        )
         cls._annots = tuple(f for f in names if kinds[f] is ANNOT)
         base = cls.__mro__[1]
         cls._head = sys.intern(tmpl if isinstance(tmpl, str) else tmpl[0])
+        assert cls._head not in base._heads and cls._head not in base._atoms, (
+            f"a second class for {cls._head}")
         if isinstance(tmpl, str):
             base._atoms[tmpl] = cls()
         else:
@@ -172,19 +169,6 @@ def node(template, binds=None, var=False):
         return cls
 
     return describe
-
-
-def derive(cls, base, name):
-    """The node class ``name`` of the IR whose term class is ``base``,
-    described as cls, a node class of another IR, is: the same template,
-    binders and fields in the same order, each child typed ``base``, and
-    the same ``__str__``.  It belongs to ``base``'s module, as if its class
-    statement stood there."""
-    kids = {f for f, _ in cls._children}
-    types = {f.name: base.__name__ if f.name in kids else f.type for f in fields(cls)}
-    body = {"__annotations__": types, "__module__": base.__module__,
-            "__qualname__": name, "__str__": cls.__str__}
-    return node(*cls._description)(type(name, (base,), body))
 
 
 # Sets the cached free variables past the frozen __setattr__.
@@ -254,23 +238,6 @@ def subterms(t):
         yield t
         for f, _ in reversed(t._children):
             todo.append(getattr(t, f))
-
-
-def counterpart(t, base, kids):
-    """The node of the IR whose term class is ``base`` with t's head: its
-    children are kids, in field order, and its numerals, names and
-    annotations are t's."""
-    cls = base._heads.get(t._head)
-    if cls is None:
-        return base._atoms[t._head]
-    if not t._copied:  # every field a child
-        return cls(*kids)
-    if not kids:  # no field a child
-        return cls(t._values(t)) if t._unary else cls(*t._values(t))
-    args = list(kids)
-    for i, f in t._copied:
-        args.insert(i, getattr(t, f))
-    return cls(*args)
 
 
 def lets(body, *bindings):
@@ -514,35 +481,50 @@ def to_sexpr(t):
     return root
 
 
-def from_sexpr(base, e):
-    """Read a term of the IR whose term (or type) class is ``base``; an
-    annotation reads as a type of the class ``base._types``."""
+@dataclass(frozen=True, slots=True)
+class Grammar:
+    """The terms of one IR, or its types: the nodes of the class family
+    ``family`` whose heads are in ``heads``.  Its annotations read by the
+    grammar ``types``."""
+
+    family: type
+    heads: frozenset
+    types: Grammar = None
+
+
+def from_sexpr(ir, e):
+    """Read a term (or type) of the grammar ``ir``: a head it does not admit
+    is a ParseError, and an annotation reads by ``ir.types``."""
+    family = ir.family
     if isinstance(e, str):
-        if e not in base._atoms:
-            raise ParseError(f"bad {base._noun}: {e!r}")
-        return base._atoms[e]
-    cls = base._heads.get(e[0]) if e and isinstance(e[0], str) else None
+        t = family._atoms.get(e) if e in ir.heads else None
+        if t is None:
+            raise ParseError(f"bad {family._noun}: {e!r}")
+        return t
+    cls = None
+    if e and isinstance(e[0], str) and e[0] in ir.heads:
+        cls = family._heads.get(e[0])
     if cls is None:
-        raise ParseError(f"bad {base._noun}: {e!r}")
+        raise ParseError(f"bad {family._noun}: {e!r}")
     values = dict.fromkeys(cls._annots)
     todo = [(cls._tmpl, e)]
     for items, x in todo:
         if not isinstance(x, list) or (
             len(x) != len(items) and not _annots_omitted(items, x)
         ):
-            raise ParseError(f"bad {base._noun}: {e!r}")
+            raise ParseError(f"bad {family._noun}: {e!r}")
         for item, y in zip(items, x):
             if isinstance(item, list):
                 todo.append((item, y))
             elif isinstance(item, str):
                 if y != item:
-                    raise ParseError(f"bad {base._noun}: {e!r}")
+                    raise ParseError(f"bad {family._noun}: {e!r}")
             elif item[0] is CHILD:
-                values[item[1]] = from_sexpr(base, y)
+                values[item[1]] = from_sexpr(ir, y)
             elif item[0] is NUM:
                 values[item[1]] = _numeral(y)
             elif item[0] is ANNOT:
-                values[item[1]] = None if y == "_" else from_sexpr(base._types, y)
+                values[item[1]] = None if y == "_" else from_sexpr(ir.types, y)
             elif isinstance(y, str):
                 values[item[1]] = y
             else:

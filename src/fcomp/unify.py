@@ -1,8 +1,7 @@
 """Structural first-order unification over the types of the term core.
 
-Both the source and the closure-converted type languages are ``node``
-classes, so unification walks and rebuilds them through the core's
-description: the child fields, the numeral fields and the class.
+The types of every IR are ``node`` classes, so unification walks and
+rebuilds them through the core's description: the child fields, the numeral fields and the class.
 Unification is monomorphic: type variables stand for exactly one type,
 rigid constants unify only with themselves (they are leaves with a numeral
 tag).

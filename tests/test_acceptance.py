@@ -10,8 +10,8 @@ import pytest
 
 from fcomp.cc_pass import cc_program
 from fcomp.cg_lang import (
-    EMPTY_MEM, G_UNITVAL, GLoc, GNat, allocate, eval_cg_program,
-    heap_lookup, heap_update, step_cg,
+    EMPTY_MEM, GLoc, allocate, eval_cg_program, heap_lookup, heap_update,
+    step_cg,
 )
 from fcomp.errors import OutOfBounds
 from fcomp.harness import (
@@ -21,7 +21,7 @@ from fcomp.harness import (
 from fcomp.hoist_pass import hoist
 from fcomp.pipeline import Stage, compile_stages, result_nat, run
 from fcomp.source_lang import (
-    NAT, UNIT, NatLit, Outcome, Pair, TProd, UnitLit, eval_src,
+    NAT, UNIT, UNITVAL, NatLit, Outcome, Pair, Pred, TProd, UnitLit, eval_src,
 )
 from fcomp.surface import parse_source
 from fcomp.term import alpha_eq, subst
@@ -160,17 +160,15 @@ def test_criterion_7_memory_model():
     s, loc = allocate(EMPTY_MEM, 2)
     assert loc == GLoc(0)
     assert s.next_free == 2
-    assert heap_lookup(s, loc, 0) == G_UNITVAL
-    assert heap_lookup(s, loc, 1) == G_UNITVAL
+    assert heap_lookup(s, loc, 0) == UNITVAL
+    assert heap_lookup(s, loc, 1) == UNITVAL
 
     # pred 0 = 0 in the target machine.
-    from fcomp.cg_lang import GPred
-
-    assert step_cg((EMPTY_MEM, GPred(GNat(0)))) == (EMPTY_MEM, GNat(0))
+    assert step_cg((EMPTY_MEM, Pred(NatLit(0)))) == (EMPTY_MEM, NatLit(0))
 
     # Update/lookup roundtrip.
-    s2 = heap_update(s, loc, 1, GNat(7))
-    assert heap_lookup(s2, loc, 1) == GNat(7)
+    s2 = heap_update(s, loc, 1, NatLit(7))
+    assert heap_lookup(s2, loc, 1) == NatLit(7)
 
     # Out-of-bounds lookup rejected.
     with pytest.raises(OutOfBounds):

@@ -2,11 +2,7 @@
 
 import pytest
 
-from fcomp.cc_lang import (
-    CAbs, CApp, CClos, CFst, CLet, CNat, COpen, CPair, CPlus, CSnd,
-    CVar, CC_NAT, CC_UNITVAL, ClosArrow,
-    eval_cc, typecheck_cc,
-)
+from fcomp.cc_lang import CAbs, CClos, COpen, eval_cc, typecheck_cc
 from fcomp.term import alpha_eq as cc_alpha_eq
 from fcomp.term import free_vars as cc_free_vars
 from fcomp.term import subst as cc_subst
@@ -17,8 +13,8 @@ from fcomp.errors import (
 )
 from fcomp.fresh import FreshSupply
 from fcomp.source_lang import (
-    NAT, App, Fix, Let, NatLit, Outcome, Plus, Var, eval_src, is_value,
-    step_src,
+    NAT, UNITVAL, App, Fix, Fst, Let, NatLit, Outcome, Pair, Plus, Snd,
+    TArrow, Var, eval_src, is_value, step_src,
 )
 from fcomp.surface import parse_source
 
@@ -26,7 +22,7 @@ from fcomp.surface import parse_source
 def cc_result_nat(t, fuel=100_000):
     out = eval_cc(t, fuel)
     assert out.kind is Outcome.VALUE, out
-    assert isinstance(out.value, CNat)
+    assert isinstance(out.value, NatLit)
     return out.value.n
 
 
@@ -45,53 +41,53 @@ class TestHelpers:
             fvars(Var("z"), ["a"])
 
     def test_map_env_builds_unit_ended_tuple(self):
-        env = map_env(["x", "y"], {"x": CNat(1), "y": CNat(2)})
-        assert env == CPair(CNat(1), CPair(CNat(2), CC_UNITVAL))
-        assert map_env([], {}) == CC_UNITVAL
+        env = map_env(["x", "y"], {"x": NatLit(1), "y": NatLit(2)})
+        assert env == Pair(NatLit(1), Pair(NatLit(2), UNITVAL))
+        assert map_env([], {}) == UNITVAL
 
     def test_map_var_projects_positionally(self):
-        rho = map_var(["x", "y"], CVar("e"))
-        assert rho["x"] == CFst(CVar("e"))
-        assert rho["y"] == CFst(CSnd(CVar("e")))
+        rho = map_var(["x", "y"], Var("e"))
+        assert rho["x"] == Fst(Var("e"))
+        assert rho["y"] == Fst(Snd(Var("e")))
 
     def test_map_env_map_var_roundtrip(self):
         # Projecting the built environment yields each image back.
-        env = map_env(["x", "y"], {"x": CNat(7), "y": CNat(8)})
+        env = map_env(["x", "y"], {"x": NatLit(7), "y": NatLit(8)})
         rho = map_var(["x", "y"], env)
         out = eval_cc(rho["x"], 100)
-        assert out.value == CNat(7)
+        assert out.value == NatLit(7)
         out = eval_cc(rho["y"], 100)
-        assert out.value == CNat(8)
+        assert out.value == NatLit(8)
 
 
 class TestTransform:
     def test_fix_becomes_closure_with_env(self):
         # A function with one free variable captures it in the environment.
         t = Fix("f", "x", NAT, NAT, Plus(Var("x"), Var("y")))
-        got = cc_transform({"y": CNat(3)}, t, FreshSupply())
+        got = cc_transform({"y": NatLit(3)}, t, FreshSupply())
         assert isinstance(got, CClos)
-        assert got.env == CPair(CNat(3), CC_UNITVAL)
+        assert got.env == Pair(NatLit(3), UNITVAL)
         assert cc_free_vars(got.code) == frozenset()
 
     def test_closed_fix_has_unit_env(self):
         t = Fix("f", "x", NAT, NAT, Plus(Var("x"), NatLit(2)))
         got = cc_program(t)
         assert isinstance(got, CClos)
-        assert got.env == CC_UNITVAL
+        assert got.env == UNITVAL
 
     def test_application_opens_closure(self):
         t = parse_source("(fix f (x:nat):nat. x + 2) 3")
         got = cc_program(t)
-        assert isinstance(got, CLet)
+        assert isinstance(got, Let)
         opened = got.body
         assert isinstance(opened, COpen)
-        assert opened.scrutinee == CVar(got.binder)
+        assert opened.scrutinee == Var(got.binder)
         call = opened.body
-        assert isinstance(call, CApp)
-        assert call.fn == CVar(opened.fbinder)
+        assert isinstance(call, App)
+        assert call.fn == Var(opened.fbinder)
         # Triple (closure, argument, environment) as raw nested pairs.
-        assert call.arg == CPair(
-            CVar(got.binder), CPair(CNat(3), CVar(opened.ebinder))
+        assert call.arg == Pair(
+            Var(got.binder), Pair(NatLit(3), Var(opened.ebinder))
         )
 
     @pytest.mark.parametrize(
@@ -124,29 +120,29 @@ class TestScope:
     """cc_transform copies rho once and restores it after every binder."""
 
     def test_caller_rho_is_unchanged_after_success(self):
-        rho = {"y": CNat(3), "w": CNat(4)}
+        rho = {"y": NatLit(3), "w": NatLit(4)}
         t = Let(NatLit(1), "y", Let(Var("w"), "v", Plus(Var("y"), Var("v"))))
         cc_transform(rho, t, FreshSupply())
-        assert rho == {"y": CNat(3), "w": CNat(4)}
+        assert rho == {"y": NatLit(3), "w": NatLit(4)}
 
     def test_caller_rho_is_unchanged_after_missing_mapping(self):
-        rho = {"y": CNat(3)}
+        rho = {"y": NatLit(3)}
         t = Let(NatLit(1), "y", Let(NatLit(2), "v", Var("zz")))
         with pytest.raises(MissingMapping):
             cc_transform(rho, t, FreshSupply())
-        assert rho == {"y": CNat(3)}
+        assert rho == {"y": NatLit(3)}
 
     def test_shadowing_let_restores_the_outer_mapping(self):
         t = Plus(Let(NatLit(5), "x", Var("x")), Var("x"))
-        got = cc_transform({"x": CNat(1)}, t, FreshSupply())
-        assert isinstance(got.l, CLet) and got.l.body == CVar(got.l.binder)
-        assert got.r == CNat(1)
+        got = cc_transform({"x": NatLit(1)}, t, FreshSupply())
+        assert isinstance(got.l, Let) and got.l.body == Var(got.l.binder)
+        assert got.r == NatLit(1)
 
     def test_closure_after_shadowing_let_captures_the_outer_mapping(self):
         fn = Fix("f", "a", NAT, NAT, Plus(Var("a"), Var("x")))
         t = Plus(Let(NatLit(5), "x", Var("x")), App(fn, NatLit(0)))
-        got = cc_transform({"x": CNat(1)}, t, FreshSupply())
-        assert got.r.bound.env == CPair(CNat(1), CC_UNITVAL)
+        got = cc_transform({"x": NatLit(1)}, t, FreshSupply())
+        assert got.r.bound.env == Pair(NatLit(1), UNITVAL)
 
     def test_let_binder_is_out_of_scope_after_its_body(self):
         t = Plus(Let(NatLit(5), "z", Var("z")), Var("z"))
@@ -161,11 +157,11 @@ class TestTyping:
             "((let x = 3 in fun (y:nat). fun (z:nat). x+y+z) 4) 5",
         ):
             got = cc_program(parse_source(text))
-            assert typecheck_cc([], got) == CC_NAT
+            assert typecheck_cc([], got) == NAT
 
     def test_closure_types_as_clos_arrow(self):
         got = cc_program(parse_source("fix f (x:nat):nat. x + 2"))
-        assert typecheck_cc([], got) == ClosArrow(CC_NAT, CC_NAT)
+        assert typecheck_cc([], got) == TArrow(NAT, NAT)
 
     def test_code_part_alone_is_underdetermined(self):
         # The code's self and environment types are only pinned down by the
@@ -177,19 +173,19 @@ class TestTyping:
             typecheck_cc([], got.code)
 
     def test_open_code_is_rejected(self):
-        bad = CClos(CAbs("p", CVar("q")), CC_UNITVAL)
+        bad = CClos(CAbs("p", Var("q")), UNITVAL)
         with pytest.raises(NonEmptyClosureContext):
-            typecheck_cc([("q", CC_NAT)], bad)
+            typecheck_cc([("q", NAT)], bad)
 
     def test_environment_type_cannot_escape(self):
-        ctx = [("c", ClosArrow(CC_NAT, CC_NAT))]
-        leak = COpen(CVar("c"), "f", "e", CVar("e"))
+        ctx = [("c", TArrow(NAT, NAT))]
+        leak = COpen(Var("c"), "f", "e", Var("e"))
         with pytest.raises(RigidEscape):
             typecheck_cc(ctx, leak)
 
     def test_rigid_tags_are_numbered_per_run(self):
-        leak = COpen(CClos(CAbs("p", CSnd(CSnd(CVar("p")))), CNat(1)),
-                     "f", "e", CVar("e"))
+        leak = COpen(CClos(CAbs("p", Snd(Snd(Var("p")))), NatLit(1)),
+                     "f", "e", Var("e"))
         messages = []
         for _ in range(2):
             with pytest.raises(RigidEscape) as e:
@@ -198,32 +194,32 @@ class TestTyping:
         assert messages[0] == messages[1]
 
     def test_rigid_unifies_only_with_itself(self):
-        ctx = [("c", ClosArrow(CC_NAT, CC_NAT))]
+        ctx = [("c", TArrow(NAT, NAT))]
         # Using the opened environment where a nat is needed fails.
-        bad = COpen(CVar("c"), "f", "e", CPlus(CVar("e"), CNat(1)))
+        bad = COpen(Var("c"), "f", "e", Plus(Var("e"), NatLit(1)))
         with pytest.raises(TypeCheckError):
             typecheck_cc(ctx, bad)
 
 
 class TestEvaluation:
     def test_open_substitutes_both_components(self):
-        code = CAbs("p", CFst(CVar("p")))
-        clos = CClos(code, CPair(CNat(1), CC_UNITVAL))
-        t = COpen(clos, "f", "e", CPair(CVar("f"), CVar("e")))
-        assert step_src(t) == CPair(code, CPair(CNat(1), CC_UNITVAL))
+        code = CAbs("p", Fst(Var("p")))
+        clos = CClos(code, Pair(NatLit(1), UNITVAL))
+        t = COpen(clos, "f", "e", Pair(Var("f"), Var("e")))
+        assert step_src(t) == Pair(code, Pair(NatLit(1), UNITVAL))
 
     def test_values(self):
-        assert is_value(CClos(CAbs("p", CVar("p")), CC_UNITVAL))
-        assert not is_value(CFst(CPair(CNat(1), CNat(2))))
+        assert is_value(CClos(CAbs("p", Var("p")), UNITVAL))
+        assert not is_value(Fst(Pair(NatLit(1), NatLit(2))))
 
     def test_subst_avoids_capture(self):
-        t = CAbs("x", CPlus(CVar("x"), CVar("y")))
-        got = cc_subst({"y": CVar("x")}, t)
+        t = CAbs("x", Plus(Var("x"), Var("y")))
+        got = cc_subst({"y": Var("x")}, t)
         assert cc_free_vars(got) == frozenset({"x"})
-        assert cc_alpha_eq(got, CAbs("z", CPlus(CVar("z"), CVar("x"))))
+        assert cc_alpha_eq(got, CAbs("z", Plus(Var("z"), Var("x"))))
 
     def test_alpha_eq_on_open(self):
-        a = COpen(CVar("c"), "f", "e", CApp(CVar("f"), CVar("e")))
-        b = COpen(CVar("c"), "g", "h", CApp(CVar("g"), CVar("h")))
+        a = COpen(Var("c"), "f", "e", App(Var("f"), Var("e")))
+        b = COpen(Var("c"), "g", "h", App(Var("g"), Var("h")))
         assert cc_alpha_eq(a, b)
-        assert not cc_alpha_eq(a, COpen(CVar("c"), "f", "e", CVar("f")))
+        assert not cc_alpha_eq(a, COpen(Var("c"), "f", "e", Var("f")))

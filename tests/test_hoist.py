@@ -7,9 +7,7 @@ from test_harness import _renaming_hoist
 
 from fcomp import pipeline
 from fcomp.cc_lang import (
-    CAbs, CApp, CClos, CFst, CLet, CNat, CPlus, CVar, CCProd,
-    CC_NAT, CC_UNIT, CC_UNITVAL, COpen, eval_hoisted, typecheck_cc,
-    typecheck_hoisted,
+    CAbs, CClos, COpen, eval_hoisted, typecheck_cc, typecheck_hoisted,
 )
 from fcomp.cc_pass import cc_program
 from fcomp.errors import (
@@ -28,32 +26,34 @@ from fcomp.term import (
     Program, check_letfun_named, check_letfun_scope, program_body, subst,
     subterms,
 )
-from fcomp.source_lang import Outcome
+from fcomp.source_lang import (
+    NAT, UNIT, UNITVAL, App, Fst, Let, NatLit, Outcome, Plus, TProd, Var,
+)
 from fcomp.surface import parse_source
 
 
 def hoisted_result_nat(p, fuel=100_000):
     out = eval_hoisted(p, fuel)
     assert out.kind is Outcome.VALUE, out
-    assert isinstance(out.value, CNat)
+    assert isinstance(out.value, NatLit)
     return out.value.n
 
 
 class TestHoist:
     def test_constant_program_has_no_functions(self):
-        p = hoist(CPlus(CNat(1), CNat(2)))
+        p = hoist(Plus(NatLit(1), NatLit(2)))
         assert p.binders == ()
         assert p.functions == ()
         assert hoisted_result_nat(p) == 3
 
     def test_free_variable_is_rejected(self):
         with pytest.raises(UnsupportedShape):
-            hoist(CVar("x"))
+            hoist(Var("x"))
 
     def test_open_must_be_in_application_form(self):
-        clos = CClos(CAbs("p", CNat(1)), CC_UNITVAL)
+        clos = CClos(CAbs("p", NatLit(1)), UNITVAL)
         with pytest.raises(UnsupportedShape):
-            hoist(COpen(clos, "f", "e", CVar("e")))
+            hoist(COpen(clos, "f", "e", Var("e")))
 
     def test_functions_are_closed_and_flat(self):
         t = parse_source(
@@ -113,14 +113,14 @@ class TestHoist:
             "((let x = 3 in fun (y:nat). fun (z:nat). x+y+z) 4) 5",
         ):
             p = hoist(cc_program(parse_source(text)))
-            assert typecheck_hoisted(p) == CC_NAT
+            assert typecheck_hoisted(p) == NAT
 
     def test_let_binder_may_not_escape_into_functions(self):
         # A function extracted from a let body must not mention the binder.
-        bad = CLet(
-            CNat(1),
+        bad = Let(
+            NatLit(1),
             "x",
-            CClos(CAbs("p", CVar("x")), CC_UNITVAL),
+            CClos(CAbs("p", Var("x")), UNITVAL),
         )
         with pytest.raises((HoistEscape, UnsupportedShape)):
             hoist(bad)
@@ -132,20 +132,20 @@ class TestScope:
 
     def test_shadowing_binders_keep_the_outer_binding(self):
         # The inner let and abstraction rebind x; x stays bound after them.
-        inner = CPlus(
-            CLet(CNat(2), "x", CVar("x")), CApp(CAbs("x", CVar("x")), CNat(3))
+        inner = Plus(
+            Let(NatLit(2), "x", Var("x")), App(CAbs("x", Var("x")), NatLit(3))
         )
-        t = CLet(CNat(1), "x", CPlus(inner, CVar("x")))
+        t = Let(NatLit(1), "x", Plus(inner, Var("x")))
         p = hoist(t)
-        assert p.body.body.r == CVar("x")
+        assert p.body.body.r == Var("x")
 
     @pytest.mark.parametrize("scoped", [
-        CLet(CNat(1), "y", CVar("y")),
-        CApp(CAbs("y", CVar("y")), CNat(1)),
+        Let(NatLit(1), "y", Var("y")),
+        App(CAbs("y", Var("y")), NatLit(1)),
     ])
     def test_binder_is_out_of_scope_after_its_body(self, scoped):
         with pytest.raises(UnsupportedShape):
-            hoist(CPlus(scoped, CVar("y")))
+            hoist(Plus(scoped, Var("y")))
 
 
 def nested_closures(n, c):
@@ -215,7 +215,7 @@ class TestLetfunScope:
         artifact = parse_stage_artifact(Stage.HOIST, EARLIER)
         p = artifact.payload
         assert check_letfun_scope(p)
-        assert typecheck_hoisted(p) == CC_NAT
+        assert typecheck_hoisted(p) == NAT
         assert hoisted_result_nat(p) == 7
         again = parse_stage_artifact(Stage.HOIST, emit_sexp(artifact)).payload
         assert again == p
@@ -254,13 +254,13 @@ class TestTypecheckHoisted:
         p = self._program(UNNAMED)
         with pytest.raises(TypeMismatch):
             typecheck_cc([], p.functions[0])
-        assert typecheck_hoisted(p) == CC_NAT
+        assert typecheck_hoisted(p) == NAT
         assert not check_letfun_named(p)
         assert check_letfun_named(self._program(TWICE))
 
     def test_a_function_named_twice_is_typed_at_each_name(self):
         p = self._program(TWICE)
-        assert typecheck_hoisted(p) == CCProd(CC_NAT, CC_UNIT)
+        assert typecheck_hoisted(p) == TProd(NAT, UNIT)
 
 
 def _reversed_order(t):
@@ -287,7 +287,7 @@ def _unnamed_appended(t):
     """An ill-typed function that nothing names is appended."""
     p = hoist(t)
     return Program(p.binders + ("unnamed",),
-                   p.functions + (CAbs("x", CFst(CNat(1))),), p.body)
+                   p.functions + (CAbs("x", Fst(NatLit(1))),), p.body)
 
 
 # Each hoisting bug, and what check_preservation and check_invariants report

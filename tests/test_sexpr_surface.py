@@ -8,8 +8,8 @@ from fcomp import sexpr, term
 from fcomp.errors import ParseError
 from fcomp.pipeline import Stage, compile_stages, parse_stage_artifact
 from fcomp.source_lang import (
-    NAT, App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred, Snd, SrcTerm,
-    SrcType, TArrow, TProd, UNIT, UnitLit, Var,
+    NAT, SOURCE, TYPES, App, Fix, Fst, Ifz, Let, NatLit, Pair, Plus, Pred,
+    Snd, TArrow, TProd, UNIT, UnitLit, Var,
 )
 from fcomp.surface import parse_source, print_source
 
@@ -99,14 +99,14 @@ class TestSexpr:
         t = parse_source(text)
         e = term.to_sexpr(t)
         back = sexpr.read_sexpr(sexpr.render(e))
-        assert term.from_sexpr(SrcTerm, back) == t
+        assert term.from_sexpr(SOURCE, back) == t
 
     def test_type_roundtrip(self):
         for ty in (NAT, UNIT, TArrow(NAT, TProd(NAT, UNIT)),
                    TProd(TArrow(NAT, NAT), UNIT)):
             e = term.to_sexpr(ty)
             back = sexpr.read_sexpr(sexpr.render(e))
-            assert term.from_sexpr(SrcType, back) == ty
+            assert term.from_sexpr(TYPES, back) == ty
 
     def test_stage_artifact_roundtrips(self):
         t = parse_source(
@@ -115,16 +115,16 @@ class TestSexpr:
         stages = compile_stages(t)
         cps_t = stages[Stage.CPS].payload
         assert term.from_sexpr(
-            SrcTerm, sexpr.read_sexpr(sexpr.render(term.to_sexpr(cps_t)))
+            SOURCE, sexpr.read_sexpr(sexpr.render(term.to_sexpr(cps_t)))
         ) == cps_t
         cc_t = stages[Stage.CC].payload
         assert term.from_sexpr(
-            cc.CCTerm, sexpr.read_sexpr(sexpr.render(term.to_sexpr(cc_t)))
+            cc.CC, sexpr.read_sexpr(sexpr.render(term.to_sexpr(cc_t)))
         ) == cc_t
-        for stage, base in ((Stage.HOIST, cc.CCTerm), (Stage.CG, cg.CgTerm)):
+        for stage, ir in ((Stage.HOIST, cc.CC), (Stage.CG, cg.CG)):
             p = stages[stage].payload
             assert sexpr.program_from_sexpr(
-                base, sexpr.read_sexpr(sexpr.render(sexpr.program_to_sexpr(p)))
+                ir, sexpr.read_sexpr(sexpr.render(sexpr.program_to_sexpr(p)))
             ) == p
 
     def test_read_rejects_unbalanced(self):
@@ -152,8 +152,7 @@ class TestSexpr:
         forms = {
             NAT: "nat",
             TArrow(UNIT, TProd(NAT, NAT)): "(arrow unit (prod nat nat))",
-            cc.ClosArrow(cc.CC_NAT, cc.CC_UNIT): "(arrow nat unit)",
-            cc.CodeArrow(cc.CCProd(cc.CC_NAT, cc.Rigid(2)), cc.CC_NAT):
+            cc.CodeArrow(TProd(NAT, cc.Rigid(2)), NAT):
                 "(code (prod nat (rigid 2)) nat)",
         }
         for ty, text in forms.items():
@@ -162,7 +161,7 @@ class TestSexpr:
     @pytest.mark.parametrize("bad", ["arrow", "(arrow nat)", "(code nat nat)"])
     def test_bad_type(self, bad):
         with pytest.raises(ParseError, match="^bad type: "):
-            term.from_sexpr(SrcType, sexpr.read_sexpr(bad))
+            term.from_sexpr(TYPES, sexpr.read_sexpr(bad))
 
 
 class TestSexprNumerals:
@@ -218,6 +217,10 @@ class TestSexprProgramBinders:
         (Stage.HOIST, "(letfun () () (alloc 2))"),  # a cg term at hoist
         (Stage.CG, "(letfun () () (clos (var f) unit))"),  # a cc term at cg
         (Stage.CG, "(letfun () ())"),
+        # A head of the one term family that the stage does not admit.
+        (Stage.CC, "(fix (f x) (var x))"),
+        (Stage.CG, "(letfun () () (pair (nat 1) (nat 2)))"),
+        (Stage.SOURCE, "(cabs (x) (var x))"),
     ])
     def test_arity_mismatches_and_foreign_terms_are_parse_errors(
         self, stage, text

@@ -1,33 +1,27 @@
 """The reduction and typing rules the source and closure-converted languages
 share: stuck terms, type error messages and recursion depth, pinned side by
-side in both IRs so that the two keep behaving alike.  The target language
-steps by the same relation, without congruence inside operations.  The
-relation's rule table covers every head of the three IRs."""
+side under both IRs' evaluators and typecheckers so that the two keep
+behaving alike.  The target language steps by the same relation, without
+congruence inside operations.  The relation's rule table covers every head
+of the three IRs."""
 
 import dataclasses
 import sys
 
 import pytest
 
-from fcomp.cc_lang import (
-    CAbs, CApp, CClos, CFst, CLet, CNat, COpen, CPlus, CPred, CVar,
-    CC_NAT, CC_UNITVAL, CCProd, CCTerm, ClosArrow, eval_cc, typecheck_cc,
-)
-from fcomp.cg_lang import (
-    EMPTY_MEM, GAbs, GApp, GLet, GLoad, GMove, GNat, GPlus, GPred, GVar,
-    CgTerm, step_cg,
-)
+from fcomp.cc_lang import CC, CAbs, CClos, COpen, eval_cc, typecheck_cc
+from fcomp.cg_lang import CG, EMPTY_MEM, GLoad, GMove, step_cg
 from fcomp.errors import TypeMismatch
 from fcomp.source_lang import (
-    NAT, RULES, _LEAF_VALUES, App, Fix, Fst, Ifz, Let, NatLit, Outcome, Pair,
-    Plus, Pred, Snd, SrcTerm, TArrow, TProd, Var, eval_lets, eval_src,
-    step_src, typecheck_src,
+    NAT, RULES, SOURCE, UNITVAL, _LEAF_VALUES, App, Fix, Fst, Ifz, Let,
+    NatLit, Outcome, Pair, Plus, Pred, Snd, TArrow, TProd, Var, eval_lets,
+    eval_src, step_src, typecheck_src,
 )
 from fcomp.unify import TVar
 
 FN = Fix("f", "x", NAT, NAT, Var("x"))
-CODE = CAbs("p", CVar("p"))
-G_CODE = GAbs("p", GVar("p"))
+CODE = CAbs("p", Var("p"))
 
 
 def _eval_cg(t, fuel):
@@ -40,34 +34,34 @@ def _eval_cg(t, fuel):
 # reduced either.
 STUCK = [
     (App(NatLit(1), Pred(NatLit(2))), eval_src, 0),
-    (CApp(CNat(1), CPred(CNat(2))), eval_cc, 0),
+    (App(NatLit(1), Pred(NatLit(2))), eval_cc, 0),
     (App(Pred(NatLit(2)), Pred(NatLit(2))), eval_src, 1),
-    (CApp(CPred(CNat(2)), CPred(CNat(2))), eval_cc, 1),
-    (COpen(CNat(1), "f", "e", CVar("f")), eval_cc, 0),
+    (App(Pred(NatLit(2)), Pred(NatLit(2))), eval_cc, 1),
+    (COpen(NatLit(1), "f", "e", Var("f")), eval_cc, 0),
     (Fst(NatLit(1)), eval_src, 0),
-    (CFst(CNat(1)), eval_cc, 0),
+    (Fst(NatLit(1)), eval_cc, 0),
     (Let(NatLit(1), "x", Fst(Var("x"))), eval_src, 1),
-    (CLet(CNat(1), "x", CFst(CVar("x"))), eval_cc, 1),
+    (Let(NatLit(1), "x", Fst(Var("x"))), eval_cc, 1),
     (Plus(FN, Pred(NatLit(3))), eval_src, 0),
-    (CPlus(CODE, CPred(CNat(3))), eval_cc, 0),
-    (CPlus(CClos(CODE, CC_UNITVAL), CPred(CNat(3))), eval_cc, 0),
-    (GApp(GNat(1), GNat(2)), _eval_cg, 0),
-    (GApp(GNat(1), GPred(GNat(2))), _eval_cg, 0),
-    (GApp(GPred(GNat(2)), GNat(2)), _eval_cg, 0),
-    (GLet(GNat(1), "x", GLoad(GVar("x"), 0)), _eval_cg, 1),
-    (GLet(GNat(1), "x", GMove(GVar("x"), 0, GNat(2))), _eval_cg, 1),
-    (GPlus(G_CODE, GPred(GNat(3))), _eval_cg, 0),
-    (GPlus(G_CODE, GNat(3)), _eval_cg, 0),
-    (GLet(GApp(G_CODE, GVar("y")), "x", GVar("x")), _eval_cg, 0),
+    (Plus(CODE, Pred(NatLit(3))), eval_cc, 0),
+    (Plus(CClos(CODE, UNITVAL), Pred(NatLit(3))), eval_cc, 0),
+    (App(NatLit(1), NatLit(2)), _eval_cg, 0),
+    (App(NatLit(1), Pred(NatLit(2))), _eval_cg, 0),
+    (App(Pred(NatLit(2)), NatLit(2)), _eval_cg, 0),
+    (Let(NatLit(1), "x", GLoad(Var("x"), 0)), _eval_cg, 1),
+    (Let(NatLit(1), "x", GMove(Var("x"), 0, NatLit(2))), _eval_cg, 1),
+    (Plus(CODE, Pred(NatLit(3))), _eval_cg, 0),
+    (Plus(CODE, NatLit(3)), _eval_cg, 0),
+    (Let(App(CODE, Var("y")), "x", Var("x")), _eval_cg, 0),
     # A value with a head its rule does not take, at each guarded child.
     (Pred(FN), eval_src, 0),
     (Ifz(FN, NatLit(1), NatLit(2)), eval_src, 0),
     (Snd(NatLit(1)), eval_src, 0),
-    (COpen(CODE, "f", "e", CVar("f")), eval_cc, 0),
+    (COpen(CODE, "f", "e", Var("f")), eval_cc, 0),
     # A stuck child is not passed: the children after it are not reduced.
     (Pair(Fst(NatLit(1)), Pred(NatLit(2))), eval_src, 0),
-    (CClos(CFst(CNat(1)), CPred(CNat(2))), eval_cc, 0),
-    (CClos(CODE, CFst(CNat(1))), eval_cc, 0),
+    (CClos(Fst(NatLit(1)), Pred(NatLit(2))), eval_cc, 0),
+    (CClos(CODE, Fst(NatLit(1))), eval_cc, 0),
 ]
 
 
@@ -80,33 +74,36 @@ def test_stuck_outcome_and_step_count(t, evaluate, steps):
         assert out.value == t
 
 
-@pytest.mark.parametrize("base", [SrcTerm, CCTerm, CgTerm])
-def test_the_rule_table_covers_every_head(base):
+# The ids name each IR as the suite always has.
+@pytest.mark.parametrize(
+    "ir", [SOURCE, CC, CG], ids=["SrcTerm", "CCTerm", "CgTerm"]
+)
+def test_the_rule_table_covers_every_head(ir):
     # The engine reads the i-th evaluated child as field i of the node.  A
     # constructor added without a rule would be silently stuck.
     for h, (kids, _) in RULES.items():
-        cls = base._heads.get(h)
-        if cls is not None:
+        cls = ir.family._heads.get(h)
+        if h in ir.heads and cls is not None:
             fields = [f.name for f in dataclasses.fields(cls)]
             children = [f for f, _ in cls._children]
             for i, (f, _) in enumerate(kids):
                 assert f in children and fields[i] == f, (cls, f)
-    own = {"var"} | ({"alloc", "move", "load"} if base is CgTerm else set())
-    for h in {*base._heads, *base._atoms}:
-        assert h in RULES or h in _LEAF_VALUES or h in own, (base, h)
+    own = {"var"} | ({"alloc", "move", "load"} if ir is CG else set())
+    for h in ir.heads:
+        assert h in RULES or h in _LEAF_VALUES or h in own, (ir, h)
 
 
 @pytest.mark.parametrize("t, typecheck, message", [
     (App(NatLit(1), NatLit(2)), typecheck_src,
      "type mismatch at App(fn=NatLit(n=1), arg=NatLit(n=2)): "
      "expected nat -> ?1, got nat"),
-    (CApp(CNat(1), CNat(2)), typecheck_cc,
-     "type mismatch at CApp(fn=CNat(n=1), arg=CNat(n=2)): "
+    (App(NatLit(1), NatLit(2)), typecheck_cc,
+     "type mismatch at App(fn=NatLit(n=1), arg=NatLit(n=2)): "
      "expected (nat => ?1), got nat"),
     (Fst(NatLit(1)), typecheck_src,
      "type mismatch at NatLit(n=1): expected ?1 * ?2, got nat"),
-    (CFst(CNat(1)), typecheck_cc,
-     "type mismatch at CNat(n=1): expected ?1 * ?2, got nat"),
+    (Fst(NatLit(1)), typecheck_cc,
+     "type mismatch at NatLit(n=1): expected ?1 * ?2, got nat"),
 ])
 def test_type_mismatch_message(t, typecheck, message):
     with pytest.raises(TypeMismatch) as e:
@@ -121,8 +118,9 @@ def test_type_mismatch_message(t, typecheck, message):
      "(nat * ?1) * (nat -> nat)"),
 ])
 def test_a_shared_type_prints_alike_in_both_languages(build, text):
+    # The closure-converted language's closure arrow, products and nat are
+    # the source types.
     assert str(build(TArrow, TProd, NAT)) == text
-    assert str(build(ClosArrow, CCProd, CC_NAT)) == text
 
 
 def _chain(plus, nat, depth):
@@ -134,7 +132,7 @@ def _chain(plus, nat, depth):
 
 @pytest.mark.parametrize("plus, nat, typecheck, step", [
     (Plus, NatLit, typecheck_src, step_src),
-    (CPlus, CNat, typecheck_cc, step_src),
+    (Plus, NatLit, typecheck_cc, step_src),
 ])
 def test_depth_of_a_2000_deep_chain(plus, nat, typecheck, step):
     # Two Python frames per level to typecheck, one to step.

@@ -3,9 +3,13 @@ sha256 over each program's dumps at all five stages, and at every stage
 its outcome kind, steps, heap cells and value, plus the first 40 states of
 each stage's machine.  Run from the root of a checkout as:
 
-    PYTHONPATH=src python3 tools/agreement_digest.py SEED...
+    PYTHONPATH=src python3 tools/agreement_digest.py [--expect BENCH_FILE] SEED...
 
-It prints one line per seed: the seed and its digest."""
+It prints one line per seed: the seed and its digest.  With ``--expect``
+it also compares each digest with the one BENCH_FILE records for the seed
+(its ``agreement`` block's ``change`` digests), and exits 1 if any differs
+or is not recorded."""
+import argparse
 import hashlib
 import json
 import sys
@@ -46,11 +50,35 @@ def record(t):
     return out
 
 
-digests = {}
-for seed in map(int, sys.argv[1:]):
+def digest(seed):
     gen = ProgramGen(GenConfig(seed=seed))
     h = hashlib.sha256()
     for _ in range(PER_SEED):
         h.update(json.dumps(record(gen.gen())).encode())
-    digests[seed] = h.hexdigest()
-    print(seed, digests[seed], flush=True)
+    return h.hexdigest()
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
+    parser.add_argument("--expect", metavar="BENCH_FILE")
+    args = parser.parse_args()
+    expected = None
+    if args.expect:
+        with open(args.expect) as f:
+            expected = json.load(f)["agreement"]["change"]
+    mismatches = []
+    for seed in args.seeds:
+        got = digest(seed)
+        print(seed, got, flush=True)
+        if expected is not None and expected.get(str(seed)) != got:
+            mismatches.append(seed)
+    if mismatches:
+        print(f"digests differ from {args.expect} on seeds "
+              f"{' '.join(map(str, mismatches))}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

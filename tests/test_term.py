@@ -114,12 +114,17 @@ def test_sexpr_roundtrip(to_sexpr, from_sexpr, t):
     assert from_sexpr(sexpr.read_sexpr(text)) == t
 
 
+def _class_of(ir, h):
+    """The class ir keeps for head h."""
+    family = ir.family
+    return family._heads.get(h) or type(family._atoms[h])
+
+
 def _node(ir, h):
     """A new node of head h built from its own description, an atom of ir
     for each child."""
-    family = ir.family
-    cls = family._heads.get(h) or type(family._atoms[h])
-    atom = next(a for k, a in family._atoms.items() if k in ir.heads)
+    cls = _class_of(ir, h)
+    atom = next(a for k, a in ir.family._atoms.items() if k in ir.heads)
     args = {f: atom for f, _ in cls._children}
     args.update({f: 2 for f in cls._data})
     args.update({f: src.NAT for f in cls._annots})
@@ -192,6 +197,33 @@ def test_a_head_two_irs_share_has_one_description(a, b, h):
     at_a = term.from_sexpr(a, sexpr.read_sexpr(text))
     at_b = term.from_sexpr(b, sexpr.read_sexpr(text))
     assert at_a == at_b and type(at_a) is type(at_b)
+
+
+DERIVED = [
+    (cc.CC, "let", ["SrcTerm", "str", "SrcTerm"]),
+    (cc.CC, "unit", []),
+    (cg.CG, "nat", ["int"]),
+    (cg.CG, "var", ["str"]),
+    (cg.CG, "cabs", ["str", "SrcTerm"]),
+    (CC_TYPES, "arrow", ["SrcType", "SrcType"]),
+]
+
+
+@pytest.mark.parametrize(
+    "ir, h, types", DERIVED,
+    ids=[f"{label(ir, _class_of(ir, h))}-types{i}"
+         for i, (ir, h, types) in enumerate(DERIVED)],
+)
+def test_a_derived_class_reads_as_its_class_statement_would(ir, h, types):
+    """@node rebuilds each class as a slotted dataclass; the class a grammar
+    keeps for a head is that rebuilt class, and it reads as its class
+    statement: its fields, its name, its binding in its module, no
+    ``__dict__``."""
+    cls = _class_of(ir, h)
+    assert [f.type for f in dataclasses.fields(cls)] == types
+    assert cls.__qualname__ == cls.__name__
+    assert getattr(sys.modules[cls.__module__], cls.__name__) is cls
+    assert "__dict__" not in dir(cls)
 
 
 @pytest.mark.parametrize("to_sexpr, from_sexpr, t", SAMPLES, ids=SAMPLE_IDS)

@@ -5,6 +5,10 @@ like the CPS pass.  Pairs and closures become a two-cell allocation plus
 two moves; projections become loads; opening a closure loads its two
 cells and rebuilds the (closure, argument, environment) triple as two
 heap pairs before calling the code pointer.
+
+As in the CPS pass, a continuation gets what it uses as default parameter
+values, never as free variables: a captured variable is a cell that
+``cgen_stmt`` would make on every call, at every level of the term.
 """
 
 from __future__ import annotations
@@ -29,7 +33,10 @@ class CgKont:
     """Continuation over target code; receives the value slot as a CC atom.
 
     Slotted, without a ``__dict__``: generation holds one continuation per
-    level of the term on the stack, thousands on a long chain."""
+    level of the term on the stack, thousands on a long chain.  Each level
+    also holds a ``cgen_stmt`` frame and the wrapped function with its tuple
+    of defaults; a cell, for any variable a nested function captured, would
+    add to every level."""
 
     fn: Callable[[SrcTerm], SrcTerm]
 
@@ -49,7 +56,7 @@ def cgen_stmt(t: SrcTerm, k: CgKont, fresh: FreshSupply) -> SrcTerm:
         return k(t)
     if h == "pred":
 
-        def kp(x):
+        def kp(x, k=k, fresh=fresh):
             v = fresh.fresh("v")
             return Let(GPred(x), v, k(Var(v)))
 
@@ -61,10 +68,9 @@ def cgen_stmt(t: SrcTerm, k: CgKont, fresh: FreshSupply) -> SrcTerm:
     if h == "plus" or h == "app":
         l, r = (t.l, t.r) if h == "plus" else (t.fn, t.arg)
 
-        def k1(x1):
-            def k2(x2):
+        def k1(x1, h=h, r=r, k=k, fresh=fresh):
+            def k2(x2, h=h, x1=x1, k=k, fresh=fresh):
                 v = fresh.fresh("v")
-                # Chosen here: a cell in cgen_stmt would cost every level.
                 op = GPlus if h == "plus" else App
                 return Let(op(x1, x2), v, k(Var(v)))
 
@@ -74,8 +80,8 @@ def cgen_stmt(t: SrcTerm, k: CgKont, fresh: FreshSupply) -> SrcTerm:
     if h == "pair" or h == "clos":
         l, r = (t.l, t.r) if h == "pair" else (t.code, t.env)
 
-        def k1(x1):
-            def k2(x2):
+        def k1(x1, r=r, k=k, fresh=fresh):
+            def k2(x2, x1=x1, k=k, fresh=fresh):
                 p, cells = _alloc_pair(x1, x2, fresh)
                 return lets(k(Var(p)), *cells)
 
@@ -86,14 +92,14 @@ def cgen_stmt(t: SrcTerm, k: CgKont, fresh: FreshSupply) -> SrcTerm:
         s2 = cgen_stmt(t.zbranch, identity_cgkont(), fresh)
         s3 = cgen_stmt(t.nzbranch, identity_cgkont(), fresh)
 
-        def kc(x1):
+        def kc(x1, s2=s2, s3=s3, k=k, fresh=fresh):
             a = fresh.fresh("v")
             return Let(Ifz(x1, s2, s3), a, k(Var(a)))
 
         return cgen_stmt(t.cond, CgKont(kc), fresh)
     if h == "let":
 
-        def kl(v1):
+        def kl(v1, t=t, k=k, fresh=fresh):
             return cgen_stmt(subst({t.binder: v1}, t.body), k, fresh)
 
         return cgen_stmt(t.bound, CgKont(kl), fresh)
@@ -102,8 +108,8 @@ def cgen_stmt(t: SrcTerm, k: CgKont, fresh: FreshSupply) -> SrcTerm:
         if m2 is None:
             raise UnsupportedShape("open not in closure-application form")
 
-        def k_clos(x1):
-            def k_arg(x2):
+        def k_clos(x1, t=t, m2=m2, k=k, fresh=fresh):
+            def k_arg(x2, x1=x1, t=t, k=k, fresh=fresh):
                 p1, arg_cells = _alloc_pair(x2, Var(t.ebinder), fresh)
                 p2, clos_cells = _alloc_pair(x1, Var(p1), fresh)
                 v = fresh.fresh("v")
@@ -139,7 +145,7 @@ def _alloc_pair(x1, x2, fresh):
 
 
 def _load(arg, offset, k, fresh):
-    def kf(x):
+    def kf(x, offset=offset, k=k, fresh=fresh):
         v = fresh.fresh("v")
         return Let(GLoad(x, offset), v, k(Var(v)))
 

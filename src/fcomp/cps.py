@@ -5,6 +5,15 @@ are contracted at transformation time and never appear in output).  Functions
 in the output take a single pair argument (continuation, argument); dynamic
 continuations are emitted as fix terms with an unused self binder since the
 source grammar has no non-recursive lambda.
+
+A continuation gets what it uses from the call that makes it as default
+parameter values, bound when it is made, and never as free variables.
+CPython gives every variable a nested function captures a cell, and the
+enclosing function makes all its cells on every call, whichever branch it
+takes.  So each captured variable, not only the ones a rule adds, would
+cost every level of the recursion, thousands on a long chain.  Positional
+defaults are one tuple on the function (keyword-only ones would be a dict);
+a continuation is only ever called with its one argument.
 """
 
 from __future__ import annotations
@@ -30,19 +39,19 @@ def cps_transform(t: SrcTerm, k, fresh: FreshSupply) -> SrcTerm:
     if isinstance(t, Ifz):
         kv = fresh.fresh("k")
 
-        def branch_k(x):
+        def branch_k(x, kv=kv):
             return App(Var(kv), x)
 
         zb = cps_transform(t.zbranch, branch_k, fresh)
         nzb = cps_transform(t.nzbranch, branch_k, fresh)
 
-        def ifz_k(x1):
+        def ifz_k(x1, k=k, fresh=fresh, kv=kv, zb=zb, nzb=nzb):
             return Let(_reify(k, fresh), kv, Ifz(x1, zb, nzb))
 
         return cps_transform(t.cond, ifz_k, fresh)
     if isinstance(t, Let):
 
-        def let_k(v1):
+        def let_k(v1, t=t, k=k, fresh=fresh):
             body = subst({t.binder: v1}, t.body)
             return cps_transform(body, k, fresh)
 
@@ -51,7 +60,7 @@ def cps_transform(t: SrcTerm, k, fresh: FreshSupply) -> SrcTerm:
         p = fresh.fresh("p")
         kv = fresh.fresh("k")
         v = fresh.fresh("v")
-        body = cps_transform(t.body, lambda y: App(Var(kv), y), fresh)
+        body = cps_transform(t.body, lambda y, kv=kv: App(Var(kv), y), fresh)
         fn = Fix(
             t.selfbinder,
             p,
@@ -62,22 +71,22 @@ def cps_transform(t: SrcTerm, k, fresh: FreshSupply) -> SrcTerm:
         return Let(fn, v, k(Var(v)))
     if isinstance(t, App):
 
-        def app_k(x1):
-            def arg_k(x2):
+        def app_k(x1, arg=t.arg, k=k, fresh=fresh):
+            def arg_k(x2, x1=x1, k=k, fresh=fresh):
                 kv = fresh.fresh("k")
                 p = fresh.fresh("p")
                 return Let(
                     _reify(k, fresh), kv, Let(Pair(Var(kv), x2), p, App(x1, Var(p)))
                 )
 
-            return cps_transform(t.arg, arg_k, fresh)
+            return cps_transform(arg, arg_k, fresh)
 
         return cps_transform(t.fn, app_k, fresh)
     raise TypeError(t)
 
 
 def _op1(arg, ctor, k, fresh):
-    def kf(x):
+    def kf(x, ctor=ctor, k=k, fresh=fresh):
         v = fresh.fresh("v")
         return Let(ctor(x), v, k(Var(v)))
 
@@ -85,8 +94,8 @@ def _op1(arg, ctor, k, fresh):
 
 
 def _op2(l, r, ctor, k, fresh):
-    def k1(x1):
-        def k2(x2):
+    def k1(x1, r=r, ctor=ctor, k=k, fresh=fresh):
+        def k2(x2, x1=x1, ctor=ctor, k=k, fresh=fresh):
             v = fresh.fresh("v")
             return Let(ctor(x1, x2), v, k(Var(v)))
 

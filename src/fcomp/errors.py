@@ -27,8 +27,12 @@ class UnboundVariable(TypeCheckError):
 
 
 class TypeMismatch(TypeCheckError):
+    """The term, a ``term.Term``, is named by its ``brief``: its repr if it is
+    small, else its head and node count."""
+
     def __init__(self, term, expected, actual):
-        super().__init__(f"type mismatch at {term!r}: expected {expected}, got {actual}")
+        super().__init__(
+            f"type mismatch at {term.brief()}: expected {expected}, got {actual}")
         self.term = term
         self.expected = expected
         self.actual = actual

@@ -465,5 +465,5 @@ def _brief(x) -> str:
     if isinstance(x, Program):
         return f"(letfun ...), {sum(map(_size, (*x.functions, x.body)))} nodes"
     if isinstance(x, Term) and x._noun == "term":
-        return f"({x._head} ...), {_size(x)} nodes"
+        return x.brief(limit=0)
     return str(x) if isinstance(x, Term) else repr(x)

@@ -64,6 +64,10 @@ from .fresh import fresh_name
 CHILD, BINDER, NAME, NUM, ANNOT = "child", "binder", "name", "num", "annot"
 
 
+# The most nodes a term may have for ``Term.brief`` to give its repr.
+BRIEF_NODES = 30
+
+
 class Term:
     """Base of the family of term classes and of the family of type classes,
     each of which gets its own table of heads for reading s-expressions.
@@ -82,6 +86,13 @@ class Term:
     def __repr__(self):
         args = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
         return f"{self.__class__.__qualname__}({args})"
+
+    def brief(self, limit=BRIEF_NODES):
+        """The node's repr, or past ``limit`` nodes its head and node count,
+        as ``(plus ...), 5999 nodes``: a repr grows with the term, and it
+        recurses once per level, so a deep term overflows it."""
+        n = sum(1 for _ in subterms(self))
+        return repr(self) if n <= limit else f"({self._head} ...), {n} nodes"
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

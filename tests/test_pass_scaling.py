@@ -1,10 +1,16 @@
-"""Closure conversion and hoisting keep one scope down the recursion.
+"""Every pass keeps what it holds per level of the term small.
 
-Along a chain of n lets each pass must use memory linear in n: a scope
-that is copied at every binder keeps n copies of up to n entries alive at
-the deepest point.  Both passes must also stay at one Python frame per term
-level, so the deepest input they accept does not shrink, and closure
-conversion must not walk a closure's body once per enclosing closure.
+Closure conversion and hoisting keep one scope down the recursion: along a
+chain of n lets each must use memory linear in n, since a scope that is
+copied at every binder keeps n copies of up to n entries alive at the
+deepest point.  Both must also stay at one Python frame per term level, so
+the deepest input they accept does not shrink, and closure conversion must
+not walk a closure's body once per enclosing closure.
+
+The CPS pass and code generation hold a frame and a continuation per level.
+A continuation takes what it uses as default parameter values, so neither
+pass makes a cell per captured variable at every level; their peaks on a
+long chain are bounded, and so is the deepest chain code generation takes.
 """
 
 import gc
@@ -14,7 +20,7 @@ import tracemalloc
 import pytest
 from test_hoist import nested_closures
 
-from fcomp import cc_pass
+from fcomp import cc_pass, cg_pass, cps
 from fcomp.cc_pass import cc_program
 from fcomp.cg_pass import cgen_program
 from fcomp.cps import cps_program
@@ -32,6 +38,13 @@ HOIST_CHAIN_PEAK_LIMIT = 0.27 * 1024 * 1024
 # as much again to spare: 0.616 MB on the first call in a process (0.409 MB
 # on later ones) on CPython 3.11.
 FN_BODY_PEAK_LIMIT = 0.93 * 1024 * 1024
+# The CPS pass's and code generation's traced peaks on the 1,000-term sum
+# chain, with half as much again to spare: up to 0.607 MB and 1.705 MB on
+# CPython 3.11, depending on what the process ran before.  A cell per
+# captured variable at every level took them to 1.120-1.258 MB and
+# 2.757-2.963 MB.
+CPS_CHAIN_PEAK_LIMIT = 0.91 * 1024 * 1024
+CG_CHAIN_PEAK_LIMIT = 2.56 * 1024 * 1024
 RETAINED_LIMIT = 1.45 * 1024 * 1024
 FREE_VARS_LIMIT = 0.6 * 1024 * 1024
 
@@ -56,6 +69,31 @@ def test_cc_and_hoist_peak_memory_is_linear():
     cc_t = cc_program(cps_t)
     peak = _traced_peak(hoist, cc_t)
     assert peak < HOIST_CHAIN_PEAK_LIMIT, f"hoist peak {peak / 2**20:.3f} MB"
+
+
+def test_cps_and_cgen_peak_memory_on_a_long_chain():
+    t = _sum_chain(1000)
+    peak = _traced_peak(cps_program, t)
+    assert peak < CPS_CHAIN_PEAK_LIMIT, f"cps_program peak {peak / 2**20:.3f} MB"
+    hoisted = compile_stages(t, stop_after=Stage.HOIST)[Stage.HOIST].payload
+    peak = _traced_peak(cgen_program, hoisted)
+    assert peak < CG_CHAIN_PEAK_LIMIT, f"cgen_program peak {peak / 2**20:.3f} MB"
+
+
+@pytest.mark.parametrize("fn", [
+    cps.cps_transform, cps._op1, cps._op2, cg_pass.cgen_stmt, cg_pass._load,
+], ids=lambda fn: fn.__qualname__)
+def test_continuation_makers_make_no_cells(fn):
+    # A variable that a nested function captures is a cell, made on every
+    # call of the enclosing function, at every level of the term.
+    assert fn.__code__.co_cellvars == ()
+
+
+def test_code_generation_takes_a_1500_term_chain():
+    # The deepest chain that compiles through cg is 1,538 terms on CPython
+    # 3.11 (tools/compile_limits.py); more per level would lower it.
+    stages = compile_stages(_sum_chain(1500))
+    assert Stage.CG in stages
 
 
 def test_free_variables_of_a_long_function_body_in_linear_memory():

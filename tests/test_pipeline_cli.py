@@ -192,6 +192,15 @@ class TestCli:
         assert err.startswith("error: input nests too deeply")
         assert err.count("\n") == 1
 
+    def test_type_mismatch_in_a_deep_term_names_its_head(self, tmp_path, capsys):
+        # The repr of the pair would be a 69 KB line at 3,000 terms, and at
+        # 6,000 it overflows the recursion limit.
+        path = self._write(tmp_path, "pred (" + " + ".join(["1"] * 6000) + ", 0)")
+        assert self._run(["check", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: type mismatch at (pair ...), 12001 nodes: "
+            "expected nat, got nat * nat\n")
+
     def test_trace_prints_numbered_steps(self, tmp_path, capsys):
         path = self._write(tmp_path, "pred (pred 2)")
         assert self._run(["trace", path, "--max-steps", "10"]) == 0

@@ -365,6 +365,18 @@ def test_subterms_is_a_preorder_of_every_occurrence():
         assert sum(1 for _ in term.subterms(deep)) == CHAIN + 1
 
 
+def test_brief_is_the_repr_up_to_a_limit_then_head_and_size():
+    small = src.NatLit(1)
+    for _ in range(term.BRIEF_NODES - 1):
+        small = src.Pred(small)
+    assert small.brief() == repr(small)
+    big = src.Pred(small)
+    assert big.brief() == f"(pred ...), {term.BRIEF_NODES + 1} nodes"
+    deep = chain(src.Pred, src.NatLit(1))
+    with low_recursion_limit():
+        assert deep.brief() == f"(pred ...), {CHAIN + 1} nodes"
+
+
 def test_walks_take_a_chain_deeper_than_the_recursion_limit():
     from fcomp.harness import _closure_code_closed, _size
     from fcomp.hoist_pass import check_abs_flat

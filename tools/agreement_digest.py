@@ -42,7 +42,7 @@ def record(t):
         ops, state = STAGES[stage], STAGES[stage].start(art.payload)
         for _ in range(40):
             out.append(ops.show_state(state))
-            if state is None or getattr(ops, "is_value", is_value)(state[1]):
+            if is_value(state[1]):
                 break
             state = ops.step(state)
             if state is None:

@@ -95,9 +95,10 @@ def program_from_sexpr(ir, e):
         and isinstance(e[1], list)
         and isinstance(e[2], list)
     ):
-        raise ParseError(f"bad program: {e!r}")
+        raise ParseError(f"bad program: {term.brief_sexpr(e)}")
     if not all(isinstance(b, str) for b in e[1]):
-        raise ParseError(f"letfun binders must be a list of names: {e[1]!r}")
+        raise ParseError(
+            f"letfun binders must be a list of names: {term.brief_sexpr(e[1])}")
     functions = tuple(term.from_sexpr(ir, f) for f in e[2])
     if len(e[1]) != len(functions):
         raise ParseError("letfun binder/function arity mismatch")

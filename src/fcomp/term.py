@@ -64,7 +64,8 @@ from .fresh import fresh_name
 CHILD, BINDER, NAME, NUM, ANNOT = "child", "binder", "name", "num", "annot"
 
 
-# The most nodes a term may have for ``Term.brief`` to give its repr.
+# The most nodes a term may have for ``Term.brief`` to give its repr, and
+# the most atoms and lists an s-expression may have for ``brief_sexpr``.
 BRIEF_NODES = 30
 
 
@@ -510,26 +511,26 @@ def from_sexpr(ir, e):
     if isinstance(e, str):
         t = family._atoms.get(e) if e in ir.heads else None
         if t is None:
-            raise ParseError(f"bad {family._noun}: {e!r}")
+            raise ParseError(f"bad {family._noun}: {brief_sexpr(e)}")
         return t
     cls = None
     if e and isinstance(e[0], str) and e[0] in ir.heads:
         cls = family._heads.get(e[0])
     if cls is None:
-        raise ParseError(f"bad {family._noun}: {e!r}")
+        raise ParseError(f"bad {family._noun}: {brief_sexpr(e)}")
     values = dict.fromkeys(cls._annots)
     todo = [(cls._tmpl, e)]
     for items, x in todo:
         if not isinstance(x, list) or (
             len(x) != len(items) and not _annots_omitted(items, x)
         ):
-            raise ParseError(f"bad {family._noun}: {e!r}")
+            raise ParseError(f"bad {family._noun}: {brief_sexpr(e)}")
         for item, y in zip(items, x):
             if isinstance(item, list):
                 todo.append((item, y))
             elif isinstance(item, str):
                 if y != item:
-                    raise ParseError(f"bad {family._noun}: {e!r}")
+                    raise ParseError(f"bad {family._noun}: {brief_sexpr(e)}")
             elif item[0] is CHILD:
                 values[item[1]] = from_sexpr(ir, y)
             elif item[0] is NUM:
@@ -539,8 +540,25 @@ def from_sexpr(ir, e):
             elif isinstance(y, str):
                 values[item[1]] = y
             else:
-                raise ParseError(f"bad name: {y!r}")
+                raise ParseError(f"bad name: {brief_sexpr(y)}")
     return cls(**values)
+
+
+def brief_sexpr(e, limit=BRIEF_NODES):
+    """The repr of the s-expression e, or past ``limit`` atoms and lists its
+    head and their count, as ``(pred ...), 12005 atoms and lists``: the
+    bound ``Term.brief`` puts on a term.  The count keeps its own stack, so
+    it takes any depth."""
+    n, todo = 0, [e]
+    while todo:
+        x = todo.pop()
+        n += 1
+        if isinstance(x, list):
+            todo.extend(x)
+    if n <= limit:
+        return repr(e)
+    head = e[0] if isinstance(e[0], str) else "(...)"
+    return f"({head} ...), {n} atoms and lists"
 
 
 def _annots_omitted(items, x):
@@ -553,7 +571,7 @@ def _numeral(x) -> int:
     """A natural-number atom; anything else is a ParseError."""
     if isinstance(x, str) and x.isascii() and x.isdigit():
         return int(x)
-    raise ParseError(f"bad numeral: {x!r}")
+    raise ParseError(f"bad numeral: {brief_sexpr(x)}")
 
 
 # ---------------------------------------------------------------------------

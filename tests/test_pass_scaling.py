@@ -8,13 +8,20 @@ the deepest input they accept does not shrink, and closure conversion must
 not walk a closure's body once per enclosing closure.
 
 The CPS pass and code generation hold a frame and a continuation per level.
-A continuation takes what it uses as default parameter values, so neither
-pass makes a cell per captured variable at every level; their peaks on a
-long chain are bounded, and so is the deepest chain code generation takes.
+A CPS continuation takes what it uses as default parameter values, so the
+pass makes no cell per captured variable at every level.  A continuation of
+code generation is a ``CgKont`` record of a module-level rule and its
+fields, so a level holds one slotted object, with no function object, tuple
+of defaults or cell.  Their peaks on a long chain are bounded, and so is the
+deepest chain code generation takes.  When code generation overflows, each
+continuation call raises a fresh ``RecursionError``, so the error that
+escapes holds one level's frames, and its traceback and the memory held at
+the overflow stay small.
 """
 
 import gc
 import sys
+import traceback
 import tracemalloc
 
 import pytest
@@ -39,12 +46,17 @@ HOIST_CHAIN_PEAK_LIMIT = 0.27 * 1024 * 1024
 # on later ones) on CPython 3.11.
 FN_BODY_PEAK_LIMIT = 0.93 * 1024 * 1024
 # The CPS pass's and code generation's traced peaks on the 1,000-term sum
-# chain, with half as much again to spare: up to 0.607 MB and 1.705 MB on
+# chain, with half as much again to spare: up to 0.607 MB and 1.165 MB on
 # CPython 3.11, depending on what the process ran before.  A cell per
 # captured variable at every level took them to 1.120-1.258 MB and
-# 2.757-2.963 MB.
+# 2.757-2.963 MB; code generation's continuations as closures with tuples
+# of defaults read 1.397-1.705 MB.
 CPS_CHAIN_PEAK_LIMIT = 0.91 * 1024 * 1024
-CG_CHAIN_PEAK_LIMIT = 2.56 * 1024 * 1024
+CG_CHAIN_PEAK_LIMIT = 1.75 * 1024 * 1024
+# Code generation's traced peak while it overflows on the 2,000-term chain,
+# with half as much again to spare: 1.936 MB on CPython 3.11.  An overflow
+# that keeps the frames it unwinds read 6.944 MB.
+CG_OVERFLOW_PEAK_LIMIT = 2.9 * 1024 * 1024
 RETAINED_LIMIT = 1.45 * 1024 * 1024
 FREE_VARS_LIMIT = 0.6 * 1024 * 1024
 
@@ -87,6 +99,38 @@ def test_continuation_makers_make_no_cells(fn):
     # A variable that a nested function captures is a cell, made on every
     # call of the enclosing function, at every level of the term.
     assert fn.__code__.co_cellvars == ()
+
+
+@pytest.mark.parametrize("fn", [cg_pass.cgen_stmt, cg_pass._load],
+                         ids=lambda fn: fn.__qualname__)
+def test_code_generation_makes_no_function_per_level(fn):
+    # A nested function is a function object, made on every call, at every
+    # level of the term; a pending context is a CgKont record instead.
+    assert not any(isinstance(c, type(fn.__code__)) for c in fn.__code__.co_consts)
+
+
+def test_a_code_generation_continuation_has_no_dict():
+    assert not hasattr(cg_pass.identity_cgkont(), "__dict__")
+
+
+def test_code_generation_overflow_holds_one_level():
+    # Each continuation call raises a fresh RecursionError past its
+    # handler, so the error that escapes holds one level's frames: about
+    # 15,400 traceback entries, and the frames behind them, otherwise.
+    hoisted = compile_stages(_sum_chain(2000), stop_after=Stage.HOIST)
+    hoisted = hoisted[Stage.HOIST].payload
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecursionError) as ei:
+            cgen_program(hoisted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    e = ei.value
+    assert len(traceback.extract_tb(e.__traceback__)) < 20
+    assert e.__context__ is None and e.__cause__ is None
+    assert peak < CG_OVERFLOW_PEAK_LIMIT, f"cgen_program peak {peak / 2**20:.3f} MB"
 
 
 def test_code_generation_takes_a_1500_term_chain():

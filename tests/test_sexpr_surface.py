@@ -163,6 +163,35 @@ class TestSexpr:
         with pytest.raises(ParseError, match="^bad type: "):
             term.from_sexpr(TYPES, sexpr.read_sexpr(bad))
 
+    @pytest.mark.parametrize("stage, text, message", [
+        (Stage.CC, "(pred (nat 1) (nat 2))",
+         "bad term: ['pred', ['nat', '1'], ['nat', '2']]"),
+        (Stage.SOURCE, "(fix (f (x) nat nat) (var x))",
+         "bad name: ['x']"),
+        (Stage.SOURCE, "(nat (3))", "bad numeral: ['3']"),
+        (Stage.CG, "(letfun (f) ((cabs (x) (var x))))",
+         "bad program: ['letfun', ['f'], [['cabs', ['x'], ['var', 'x']]]]"),
+    ])
+    def test_a_small_bad_form_is_quoted_whole(self, stage, text, message):
+        with pytest.raises(ParseError) as ei:
+            parse_stage_artifact(stage, text)
+        assert str(ei.value) == message
+
+    def test_a_large_bad_form_is_named_by_its_head_and_size(self):
+        # A pred with an extra argument around a 3,000-deep plus chain: the
+        # whole form quoted was a 72,046-byte message.
+        inner = "(nat 1)"
+        for _ in range(3000):
+            inner = f"(plus {inner} (nat 1))"
+        with pytest.raises(ParseError) as ei:
+            parse_stage_artifact(Stage.CC, f"(pred {inner} (nat 2))")
+        assert str(ei.value) == "bad term: (pred ...), 15008 atoms and lists"
+        assert len(str(ei.value)) < 200
+        small = ["pred"] + ["1"] * (term.BRIEF_NODES - 2)
+        assert term.brief_sexpr(small) == repr(small)
+        assert term.brief_sexpr(small + ["1"]) == (
+            f"(pred ...), {term.BRIEF_NODES + 1} atoms and lists")
+
 
 class TestSexprNumerals:
     """Numerals are read in one place: a non-numeral or a negative number is

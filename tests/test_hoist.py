@@ -148,16 +148,6 @@ class TestScope:
             hoist(Plus(scoped, Var("y")))
 
 
-def nested_closures(n, c):
-    """Level i is let xi = i+c in let fi = fun (yi:nat). yi + xi + <level
-    i+1> in fi i, level n+1 is 0; its value is n(n+1) + nc."""
-    text = "0"
-    for i in range(n, 0, -1):
-        text = (f"(let x{i} = {i + c} in let f{i} = fun (y{i}:nat). "
-                f"y{i} + x{i} + {text} in f{i} {i})")
-    return parse_source(text), n * (n + 1) + n * c
-
-
 def _nodes(*terms):
     return sum(1 for t in terms for _ in subterms(t))
 
@@ -196,17 +186,17 @@ class TestLetfunScope:
             cc_t = cc_program(t)
             assert program_body(hoist(cc_t)) == cc_t
 
-    def test_nested_closures_compile_and_agree_at_every_stage(self):
-        t, want = nested_closures(50, 3)
-        stages = compile_stages(t)
+    def test_nested_closures_compile_and_agree_at_every_stage(self, scale):
+        text, want = scale.nested_closures(50, 3)
+        stages = compile_stages(parse_source(text))
         for stage in STAGE_ORDER:
             out, _ = run(stages[stage], 400_000)
             assert out.kind is Outcome.VALUE, (stage, out)
             assert result_nat(out) == want, stage
 
-    def test_hoisting_adds_one_stub_per_function(self):
-        t, _ = nested_closures(100, 3)
-        stages = compile_stages(t, stop_after=Stage.HOIST)
+    def test_hoisting_adds_one_stub_per_function(self, scale):
+        text, _ = scale.nested_closures(100, 3)
+        stages = compile_stages(parse_source(text), stop_after=Stage.HOIST)
         cc_t, p = stages[Stage.CC].payload, stages[Stage.HOIST].payload
         assert len(p.functions) == 200
         assert _nodes(*p.functions, p.body) == _nodes(cc_t) + len(p.functions)

@@ -6,7 +6,6 @@ congruence inside operations.  The relation's rule table covers every head
 of the three IRs."""
 
 import dataclasses
-import sys
 
 import pytest
 
@@ -134,14 +133,10 @@ def _chain(plus, nat, depth):
     (Plus, NatLit, typecheck_src, step_src),
     (Plus, NatLit, typecheck_cc, step_src),
 ])
-def test_depth_of_a_2000_deep_chain(plus, nat, typecheck, step):
+def test_depth_of_a_2000_deep_chain(plus, nat, typecheck, step, recursion_limit):
     # Two Python frames per level to typecheck, one to step.
     t = _chain(plus, nat, 2000)
-    old = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(4100)
-        assert str(typecheck([], t)) == "nat"
-        sys.setrecursionlimit(2100)
-        assert step(t) is not None
-    finally:
-        sys.setrecursionlimit(old)
+    recursion_limit(4100)
+    assert str(typecheck([], t)) == "nat"
+    recursion_limit(2100)
+    assert step(t) is not None

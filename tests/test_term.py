@@ -1,7 +1,6 @@
 """The term core: every constructor of every IR through free variables,
 substitution and the s-expression round trip, plus deep terms."""
 
-import contextlib
 import dataclasses
 import functools
 import gc
@@ -333,17 +332,7 @@ def test_free_vars_match_the_reference_at_every_stage():
 # The node patterns written once: subterms and lets
 
 
-@contextlib.contextmanager
-def low_recursion_limit():
-    """A recursion limit far below the depth of the chains these tests walk."""
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(saved)
-
-
+LOW_LIMIT = 1000  # a recursion limit far below the depth of these chains
 CHAIN = 100_000
 
 
@@ -354,18 +343,18 @@ def chain(wrap, leaf):
     return t
 
 
-def test_subterms_is_a_preorder_of_every_occurrence():
+def test_subterms_is_a_preorder_of_every_occurrence(recursion_limit):
     one = src.NatLit(1)
     t = src.Plus(src.Pred(one), src.Let(one, "y", src.Var("y")))
     assert list(term.subterms(t)) == [
         t, t.l, one, t.r, one, src.Var("y"),
     ]
     deep = chain(src.Pred, one)
-    with low_recursion_limit():
-        assert sum(1 for _ in term.subterms(deep)) == CHAIN + 1
+    recursion_limit(LOW_LIMIT)
+    assert sum(1 for _ in term.subterms(deep)) == CHAIN + 1
 
 
-def test_brief_is_the_repr_up_to_a_limit_then_head_and_size():
+def test_brief_is_the_repr_up_to_a_limit_then_head_and_size(recursion_limit):
     small = src.NatLit(1)
     for _ in range(term.BRIEF_NODES - 1):
         small = src.Pred(small)
@@ -373,11 +362,11 @@ def test_brief_is_the_repr_up_to_a_limit_then_head_and_size():
     big = src.Pred(small)
     assert big.brief() == f"(pred ...), {term.BRIEF_NODES + 1} nodes"
     deep = chain(src.Pred, src.NatLit(1))
-    with low_recursion_limit():
-        assert deep.brief() == f"(pred ...), {CHAIN + 1} nodes"
+    recursion_limit(LOW_LIMIT)
+    assert deep.brief() == f"(pred ...), {CHAIN + 1} nodes"
 
 
-def test_walks_take_a_chain_deeper_than_the_recursion_limit():
+def test_walks_take_a_chain_deeper_than_the_recursion_limit(recursion_limit):
     from fcomp.harness import _closure_code_closed, _size
     from fcomp.hoist_pass import check_abs_flat
 
@@ -389,14 +378,14 @@ def test_walks_take_a_chain_deeper_than_the_recursion_limit():
     closed = chain(S.Pred, cc.CClos(cc.CAbs("p", S.Var("p")), S.UNITVAL))
     open_ = chain(S.Pred, cc.CClos(cc.CAbs("p", S.Var("q")), S.UNITVAL))
     fn = cc.CAbs("x", flat)
-    with low_recursion_limit():
-        assert cg.check_operand_form(lets_)
-        assert not cg.check_operand_form(bad)
-        assert check_abs_flat(term.Program(("g",), (fn,), flat))
-        assert not check_abs_flat(term.Program((), (), nested))
-        assert _closure_code_closed(closed)
-        assert not _closure_code_closed(open_)
-        assert _size(chain(src.Pred, src.NatLit(0))) == CHAIN + 1
+    recursion_limit(LOW_LIMIT)
+    assert cg.check_operand_form(lets_)
+    assert not cg.check_operand_form(bad)
+    assert check_abs_flat(term.Program(("g",), (fn,), flat))
+    assert not check_abs_flat(term.Program((), (), nested))
+    assert _closure_code_closed(closed)
+    assert not _closure_code_closed(open_)
+    assert _size(chain(src.Pred, src.NatLit(0))) == CHAIN + 1
 
 
 # The heads the source and closure-converted languages share: for each, a
